@@ -16,8 +16,8 @@ from .configuration import (
     max_area_path,
     random_config,
 )
-from .lattice import Edge, Face, Lattice, Vertex, new_lattice
-from .linalg import SparseMat
+from .lattice import Edge, Face, Lattice, Vertex
+from .linalg import MonomialMat
 from .representation import (
     ModuleRep,
     balanced_words,
@@ -33,7 +33,7 @@ from .representation import (
     verify_relations,
     word_matrix,
 )
-from .scalar import Radical, RadicalSum, squarefree_decompose
+from .scalar import Radical, squarefree_decompose
 from .topology import (
     ColoringConflictError,
     Component,

@@ -50,14 +50,32 @@ class Vertex(NamedTuple):
     y: int
 
 
+class Step(NamedTuple):
+    """A move from the face of weight w to a neighboring face.
+
+    The weight changes by dw, the crossed edge has orientation ``orient``
+    (1 vertical, 2 horizontal) and doubled midpoint 2*w + dw, and the plane
+    lift of the face changes by ``lift``.
+    """
+
+    dw: int
+    orient: int
+    lift: tuple[int, int]
+
+
 @dataclass(frozen=True)
 class Lattice:
-    """The period pair (m, n) with weight steps alpha = -n, beta = m."""
+    """The period pair (m, n) with weight steps alpha = -n, beta = m.
+
+    ``steps`` maps each generator name to its move, in the fixed order every
+    flood fill uses.
+    """
 
     m: int
     n: int
     alpha: int = field(init=False)
     beta: int = field(init=False)
+    steps: dict[str, Step] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -66,6 +84,13 @@ class Lattice:
             raise ValueError(f"period ({self.m}, {self.n}) is not coprime")
         object.__setattr__(self, "alpha", -self.n)
         object.__setattr__(self, "beta", self.m)
+        a, b = self.alpha, self.beta
+        object.__setattr__(self, "steps", {
+            "X1+": Step(a, 1, (1, 0)),    # cross V at 2w+alpha going to w+alpha
+            "X1-": Step(-a, 1, (-1, 0)),
+            "X2+": Step(b, 2, (0, 1)),    # cross H at 2w+beta going to w+beta
+            "X2-": Step(-b, 2, (0, -1)),
+        })
 
     # -- weights ---------------------------------------------------------
 
@@ -134,7 +159,3 @@ class Lattice:
         x, y = self.face_of_weight((val2 - self.alpha - self.beta) // 2)
         return Vertex(x, y)
 
-
-def new_lattice(m: int, n: int) -> Lattice:
-    """Validating constructor, kept as a plain function for symmetry."""
-    return Lattice(m, n)

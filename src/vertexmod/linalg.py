@@ -1,121 +1,81 @@
-"""Minimal sparse matrices over the exact scalar domain.
+"""Monomial matrices over the exact scalar domain.
 
-Dimensions here are module dimensions (tens at most), so a dict keyed by
-(row, col) with :class:`RadicalSum` values is plenty.  Zero entries are
-never stored; equality is exact.
+Every operator on a weight module is monomial: each generator moves a face
+to at most one neighbor, H and the invariant form are diagonal, and products
+and conjugate transposes of monomial matrices stay monomial.  So a square
+matrix is stored as one ``(row, Radical)`` or ``None`` per column, a product
+costs O(dim) and equality is exact.  Zero entries are never stored.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalar import Radical, RadicalSum
+from .scalar import Radical
 
 
-class SparseMat:
-    __slots__ = ("nrows", "ncols", "entries")
+class MonomialMat:
+    """Square matrix with at most one nonzero entry in every row and column."""
 
-    def __init__(self, nrows: int, ncols: int):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries: dict[tuple[int, int], RadicalSum] = {}
+    __slots__ = ("cols",)
+
+    def __init__(self, dim: int, entries: dict[tuple[int, int], Radical]):
+        cols: list[tuple[int, Radical] | None] = [None] * dim
+        rows = set()
+        for (r, c), val in entries.items():
+            if val.is_zero:
+                continue
+            if cols[c] is not None or r in rows:
+                raise ValueError(f"second entry in row {r} or column {c}")
+            cols[c] = (r, val)
+            rows.add(r)
+        self.cols = tuple(cols)
 
     @classmethod
-    def from_radicals(cls, nrows, ncols, data: dict[tuple[int, int], Radical]) -> "SparseMat":
-        out = cls(nrows, ncols)
-        for rc, val in data.items():
-            if not val.is_zero:
-                out.entries[rc] = RadicalSum.from_radical(val)
-        return out
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseMat":
+    def identity(cls, n: int) -> "MonomialMat":
         return cls.diagonal([Radical.one()] * n)
 
     @classmethod
-    def diagonal(cls, values) -> "SparseMat":
+    def diagonal(cls, values) -> "MonomialMat":
         vals = [v if isinstance(v, Radical) else Radical.from_rational(v) for v in values]
-        return cls.from_radicals(len(vals), len(vals), {(i, i): v for i, v in enumerate(vals)})
+        return cls(len(vals), {(i, i): v for i, v in enumerate(vals)})
 
-    def _set(self, r: int, c: int, val: RadicalSum) -> None:
-        if val.is_zero:
-            self.entries.pop((r, c), None)
-        else:
-            self.entries[(r, c)] = val
-
-    def entry(self, r: int, c: int) -> RadicalSum:
-        return self.entries.get((r, c), RadicalSum())
-
-    def __matmul__(self, other: "SparseMat") -> "SparseMat":
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        by_row: dict[int, list[tuple[int, RadicalSum]]] = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        out = SparseMat(self.nrows, other.ncols)
-        for (r, k), a in self.entries.items():
-            for c, b in by_row.get(k, ()):
-                cur = out.entries.get((r, c))
-                prod = a.mul(b)
-                out._set(r, c, prod if cur is None else cur + prod)
-        return out
-
-    def __add__(self, other: "SparseMat") -> "SparseMat":
-        return self._combine(other, negate=False)
-
-    def __sub__(self, other: "SparseMat") -> "SparseMat":
-        return self._combine(other, negate=True)
-
-    def _combine(self, other: "SparseMat", negate: bool) -> "SparseMat":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        out = SparseMat(self.nrows, self.ncols)
-        out.entries = {rc: v.copy() for rc, v in self.entries.items()}
-        for rc, v in other.entries.items():
-            cur = out.entries.get(rc, RadicalSum())
-            out._set(rc[0], rc[1], (cur - v) if negate else (cur + v))
-        return out
-
-    def scale(self, factor) -> "SparseMat":
-        if isinstance(factor, Fraction) or isinstance(factor, int):
-            factor = Radical.from_rational(factor)
-        out = SparseMat(self.nrows, self.ncols)
-        for rc, v in self.entries.items():
-            out._set(rc[0], rc[1], v.mul_radical(factor))
-        return out
-
-    def conj_transpose(self) -> "SparseMat":
-        out = SparseMat(self.ncols, self.nrows)
-        for (r, c), v in self.entries.items():
-            out.entries[(c, r)] = v.conjugate()
+    @classmethod
+    def _from_cols(cls, cols) -> "MonomialMat":
+        out = cls.__new__(cls)
+        out.cols = tuple(cols)
         return out
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (self.nrows, self.ncols)
+    def dim(self) -> int:
+        return len(self.cols)
+
+    def entry(self, r: int, c: int) -> Radical:
+        col = self.cols[c]
+        return col[1] if col is not None and col[0] == r else Radical.zero()
+
+    def __matmul__(self, other: "MonomialMat") -> "MonomialMat":
+        if self.dim != other.dim:
+            raise ValueError(f"shape mismatch {self.dim} @ {other.dim}")
+        out = []
+        for col in other.cols:
+            mid = None if col is None else self.cols[col[0]]
+            out.append(None if mid is None else (mid[0], mid[1] * col[1]))
+        return MonomialMat._from_cols(out)
+
+    def conj_transpose(self) -> "MonomialMat":
+        out: list[tuple[int, Radical] | None] = [None] * self.dim
+        for c, col in enumerate(self.cols):
+            if col is not None:
+                out[col[0]] = (c, col[1].conjugate())
+        return MonomialMat._from_cols(out)
 
     @property
     def is_zero(self) -> bool:
-        return not self.entries
+        return all(col is None for col in self.cols)
 
-    def diag(self) -> list[RadicalSum]:
-        if self.nrows != self.ncols:
-            raise ValueError("diag of a non-square matrix")
-        return [self.entry(i, i) for i in range(self.nrows)]
-
-    def off_diagonal_entries(self) -> list[tuple[int, int]]:
-        return sorted(rc for rc in self.entries if rc[0] != rc[1])
+    def is_diagonal(self) -> bool:
+        return all(col is None or col[0] == c for c, col in enumerate(self.cols))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseMat):
+        if not isinstance(other, MonomialMat):
             return NotImplemented
-        return self.shape == other.shape and self.entries == other.entries
-
-    def __hash__(self):
-        raise TypeError("SparseMat is unhashable")
-
-    def __str__(self) -> str:
-        lines = [f"SparseMat {self.nrows}x{self.ncols}"]
-        for (r, c), v in sorted(self.entries.items()):
-            lines.append(f"  [{r},{c}] = {v}")
-        return "\n".join(lines)
+        return self.cols == other.cols

@@ -32,7 +32,7 @@ from math import comb
 
 from .configuration import Configuration
 from .lattice import Face
-from .linalg import SparseMat
+from .linalg import MonomialMat
 from .scalar import Radical
 from .topology import Component
 
@@ -50,17 +50,6 @@ def balanced_words(m: int, n: int) -> list[str]:
             chars[p] = "2"
         words.append("".join(chars))
     return sorted(words)
-
-
-def _gen_data(cfg: Configuration, gen: str):
-    """(weight delta, orientation, doubled-midpoint offset, lift step)."""
-    a, b = cfg.lat.alpha, cfg.lat.beta
-    return {
-        "X1+": (a, 1, a, (1, 0)),
-        "X1-": (-a, 1, -a, (-1, 0)),
-        "X2+": (b, 2, b, (0, 1)),
-        "X2-": (-b, 2, -b, (0, -1)),
-    }[gen]
 
 
 @dataclass
@@ -93,13 +82,13 @@ class ModuleRep:
     def faces(self) -> list[Face]:
         return [self.cfg.lat.face_of_weight(w) for w in self.weights]
 
-    def matrix(self, gen: str) -> SparseMat:
+    def matrix(self, gen: str) -> MonomialMat:
         if gen == "H":
             return self.h_matrix()
-        return SparseMat.from_radicals(self.dim, self.dim, self.mats[gen])
+        return MonomialMat(self.dim, self.mats[gen])
 
-    def h_matrix(self) -> SparseMat:
-        return SparseMat.diagonal([Fraction(w) for w in self.weights])
+    def h_matrix(self) -> MonomialMat:
+        return MonomialMat.diagonal([Fraction(w) for w in self.weights])
 
     def export_triplets(self, gen: str) -> str:
         """Plain text 'row col value' lines for external inspection."""
@@ -130,9 +119,9 @@ def build_module(cfg: Configuration, comp: Component, window: tuple[int, int] | 
     idx = {w: i for i, w in enumerate(basis)}
     mats: dict[str, dict[tuple[int, int], Radical]] = {g: {} for g in GENERATORS}
     for gen in GENERATORS:
-        dw, i, dmid, (sx, sy) = _gen_data(cfg, gen)
+        dw, i, (sx, sy) = lat.steps[gen]
         for w in basis:
-            q = cfg.sqrt_value(i, 2 * w + dmid)
+            q = cfg.sqrt_value(i, 2 * w + dw)
             w2 = w + dw
             if w2 not in idx:
                 if comp.finite and not q.is_zero:
@@ -158,8 +147,6 @@ def _window_flood(cfg, comp, lo, hi):
     """Component faces inside [lo, hi], lifted consistently with comp.lifts."""
     from collections import deque
 
-    from .topology import _neighbor_steps
-
     seeds = sorted(w for w in comp.weights if lo <= w <= hi)
     lifts: dict[int, tuple[int, int]] = {}
     for s in seeds:
@@ -170,11 +157,11 @@ def _window_flood(cfg, comp, lo, hi):
         while queue:
             w = queue.popleft()
             lx, ly = lifts[w]
-            for dw, i, dmid, (sx, sy) in _neighbor_steps(cfg):
+            for dw, i, (sx, sy) in cfg.lat.steps.values():
                 w2 = w + dw
                 if w2 in lifts or w2 < lo or w2 > hi:
                     continue
-                if cfg.mult_mid2(i, 2 * w + dmid):
+                if cfg.mult_mid2(i, 2 * w + dw):
                     continue
                 lifts[w2] = (lx + sx, ly + sy)
                 queue.append(w2)
@@ -200,59 +187,57 @@ def verify_relations(rep: ModuleRep) -> RelationReport:
 
     For windowed modules a relation instance is asserted only when every
     face it reaches through unsupported edges lies in the basis; anything
-    else is reported as skipped, never silently passed.
+    else is reported as skipped, never silently passed.  A generator with a
+    second entry in some row or column fails as not monomial; the product
+    relations and commutators of that module are then skipped.
     """
-    cfg, lat = rep.cfg, rep.cfg.lat
+    cfg, steps = rep.cfg, rep.cfg.lat.steps
     report = RelationReport(failures=[], skipped=[])
-    mats = {g: rep.matrix(g) for g in GENERATORS}
-
-    def diag_entry(mat, j):
-        return mat.entry(j, j)
+    mats = {}
 
     # monomial shape and H-commutators
     for gen in GENERATORS:
-        dw = _gen_data(cfg, gen)[0]
-        rows, cols = set(), set()
-        for (r, c), val in rep.mats[gen].items():
-            if r in rows or c in cols:
-                report.failures.append(f"{gen} is not monomial")
-            rows.add(r)
-            cols.add(c)
-            if rep.weights[r] - rep.weights[c] != dw:
+        try:
+            mats[gen] = rep.matrix(gen)
+        except ValueError:
+            report.failures.append(f"{gen} is not monomial")
+        for r, c in rep.mats[gen]:
+            if rep.weights[r] - rep.weights[c] != steps[gen].dw:
                 report.failures.append(
                     f"[H,{gen}] fails at basis weight {rep.weights[c]}"
                 )
             report.checked += 1
+    if len(mats) < len(GENERATORS):
+        report.skipped.append("product relations and commutators (not monomial)")
+        return report
 
     # product relations Xi+- Xi-+ = P_i(H -+ alpha_i/2)
     for gen, opp in (("X1+", "X1-"), ("X1-", "X1+"), ("X2+", "X2-"), ("X2-", "X2+")):
-        dw_opp, i, dmid_opp, _ = _gen_data(cfg, opp)
+        dw_opp, i, _ = steps[opp]
         prod = mats[gen] @ mats[opp]
-        if prod.off_diagonal_entries():
+        if not prod.is_diagonal():
             report.failures.append(f"{gen}{opp} is not diagonal")
         for j, w in enumerate(rep.weights):
-            w_mid = w + dw_opp
-            unsupported = cfg.mult_mid2(i, 2 * w + dmid_opp) == 0
-            if rep.windowed and unsupported and not rep.in_basis(w_mid):
+            unsupported = cfg.mult_mid2(i, 2 * w + dw_opp) == 0
+            if rep.windowed and unsupported and not rep.in_basis(w + dw_opp):
                 report.skipped.append(f"{gen}{opp} at weight {w} (window boundary)")
                 continue
-            expected = cfg.poly_eval(i, 2 * w + dmid_opp)
-            got = diag_entry(prod, j)
-            if got != _rational_sum(expected):
+            expected = cfg.poly_eval(i, 2 * w + dw_opp)
+            got = prod.entry(j, j)
+            if got != Radical.from_rational(expected):
                 report.failures.append(
                     f"{gen}{opp} at weight {w}: got {got}, expected {expected}"
                 )
             report.checked += 1
 
-    # mixed commutators [X1+-, X2-+] = 0
+    # mixed commutators [X1+-, X2-+] = 0, as equal columns of both products
     for g1, g2 in (("X1+", "X2-"), ("X1-", "X2+")):
-        dw1 = _gen_data(cfg, g1)[0]
-        dw2, i2, dmid2, _ = _gen_data(cfg, g2)
-        _, i1, dmid1, _ = _gen_data(cfg, g1)
-        comm = mats[g1] @ mats[g2] - mats[g2] @ mats[g1]
-        bad_cols = {rc[1] for rc in comm.entries}
+        dw1, i1, _ = steps[g1]
+        dw2, i2, _ = steps[g2]
+        ab = (mats[g1] @ mats[g2]).cols
+        ba = (mats[g2] @ mats[g1]).cols
         for j, w in enumerate(rep.weights):
-            reach = [(w + dw2, i2, 2 * w + dmid2), (w + dw1, i1, 2 * w + dmid1)]
+            reach = [(w + dw2, i2, 2 * w + dw2), (w + dw1, i1, 2 * w + dw1)]
             skip = False
             if rep.windowed:
                 for w_mid, i, mid2 in reach:
@@ -260,24 +245,18 @@ def verify_relations(rep: ModuleRep) -> RelationReport:
                         skip = True
                 final = w + dw1 + dw2
                 if not skip and rep.in_basis(w + dw2) and not rep.in_basis(final):
-                    if cfg.mult_mid2(i1, 2 * (w + dw2) + dmid1) == 0:
+                    if cfg.mult_mid2(i1, 2 * (w + dw2) + dw1) == 0:
                         skip = True
                 if not skip and rep.in_basis(w + dw1) and not rep.in_basis(final):
-                    if cfg.mult_mid2(i2, 2 * (w + dw1) + dmid2) == 0:
+                    if cfg.mult_mid2(i2, 2 * (w + dw1) + dw2) == 0:
                         skip = True
             if skip:
                 report.skipped.append(f"[{g1},{g2}] at weight {w} (window boundary)")
                 continue
-            if j in bad_cols:
+            if ab[j] != ba[j]:
                 report.failures.append(f"[{g1},{g2}] fails at basis weight {w}")
             report.checked += 1
     return report
-
-
-def _rational_sum(q):
-    from .scalar import RadicalSum
-
-    return RadicalSum.from_radical(Radical.from_rational(q))
 
 
 # -- face-path walks -----------------------------------------------------------
@@ -427,15 +406,15 @@ def check_order_product(cfg: Configuration, word: str, window: tuple[int, int]) 
 # -- operator words and the Casimir --------------------------------------------
 
 
-def word_matrix(rep: ModuleRep, tokens) -> SparseMat:
+def word_matrix(rep: ModuleRep, tokens) -> MonomialMat:
     """Product of generator matrices; the rightmost token acts first."""
-    out = SparseMat.identity(rep.dim)
+    out = MonomialMat.identity(rep.dim)
     for t in tokens:
         out = out @ rep.matrix(t)
     return out
 
 
-def loop_matrix(rep: ModuleRep, word: str) -> SparseMat:
+def loop_matrix(rep: ModuleRep, word: str) -> MonomialMat:
     """The balanced loop operator: raising generators, first letter first."""
     return word_matrix(rep, [f"X{c}+" for c in reversed(word)])
 
@@ -465,7 +444,7 @@ def casimir(rep: ModuleRep, word: str) -> CasimirResult:
     """
     cfg = rep.cfg
     mat = loop_matrix(rep, word)
-    if mat.off_diagonal_entries():
+    if not mat.is_diagonal():
         raise AssertionError("balanced loop operator is not diagonal")
     support = order_support(cfg, word)
     determinate, indeterminate = [], []
@@ -485,8 +464,7 @@ def casimir(rep: ModuleRep, word: str) -> CasimirResult:
             indeterminate.append(w)
             continue
         determinate.append(w)
-        entry = mat.entry(j, j).as_radical()
-        scalars[w] = entry.times_rational(1 / order_product(cfg, word, w, support))
+        scalars[w] = mat.entry(j, j).times_rational(1 / order_product(cfg, word, w, support))
     if rep.comp.contractible:
         if not mat.is_zero:
             raise AssertionError("loop operator does not vanish on a contractible component")

@@ -14,12 +14,6 @@ without any floating point.
 to lie on the unit circle, conjugation maps ``xi -> xi^-1`` (and ``i -> -i``).
 Optional numeric evaluation at a concrete complex ``xi`` is provided for
 cross-checking against floating arithmetic.
-
-Sums of monomials appear only when two operator words are subtracted
-(commutator and adjoint checks).  :class:`RadicalSum` keeps like terms
-merged; since square roots of distinct squarefree integers are linearly
-independent over the rationals, a sum is zero iff every merged coefficient
-is zero.
 """
 
 from __future__ import annotations
@@ -170,130 +164,3 @@ class Radical:
         else:
             parts.append(f"{self.coeff}*sqrt({self.root})")
         return " * ".join(parts) if parts else "1"
-
-
-class RadicalSum:
-    """Finite formal sum of Radical monomials with exact zero detection.
-
-    Terms are merged on the key (xi exponent, imaginary bit, squarefree
-    root); the merged coefficient is a signed rational.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self):
-        self._terms: dict[tuple[int, int, int], Fraction] = {}
-
-    @classmethod
-    def from_radical(cls, r: Radical) -> "RadicalSum":
-        out = cls()
-        out._iadd_radical(r)
-        return out
-
-    @classmethod
-    def from_rational(cls, q) -> "RadicalSum":
-        return cls.from_radical(Radical.from_rational(q))
-
-    def _iadd_radical(self, r: Radical, negate: bool = False) -> None:
-        if r.is_zero:
-            return
-        sign = Fraction(-1 if r.phase >= 2 else 1)
-        if negate:
-            sign = -sign
-        key = (r.xi_exp, r.phase % 2, r.root)
-        c = self._terms.get(key, Fraction(0)) + sign * r.coeff
-        if c == 0:
-            self._terms.pop(key, None)
-        else:
-            self._terms[key] = c
-
-    def _iadd_sum(self, other: "RadicalSum", negate: bool = False) -> None:
-        for (k, im, s), c in other._terms.items():
-            cc = -c if negate else c
-            key = (k, im, s)
-            v = self._terms.get(key, Fraction(0)) + cc
-            if v == 0:
-                self._terms.pop(key, None)
-            else:
-                self._terms[key] = v
-
-    def __add__(self, other: "RadicalSum") -> "RadicalSum":
-        out = self.copy()
-        out._iadd_sum(other)
-        return out
-
-    def __sub__(self, other: "RadicalSum") -> "RadicalSum":
-        out = self.copy()
-        out._iadd_sum(other, negate=True)
-        return out
-
-    def add_radical(self, r: Radical) -> "RadicalSum":
-        out = self.copy()
-        out._iadd_radical(r)
-        return out
-
-    def mul(self, other: "RadicalSum") -> "RadicalSum":
-        out = RadicalSum()
-        for (k1, i1, s1), c1 in self._terms.items():
-            for (k2, i2, s2), c2 in other._terms.items():
-                g = gcd(s1, s2)
-                c = c1 * c2 * g
-                if i1 + i2 == 2:
-                    c = -c  # i * i = -1
-                key = (k1 + k2, (i1 + i2) % 2, (s1 // g) * (s2 // g))
-                v = out._terms.get(key, Fraction(0)) + c
-                if v == 0:
-                    out._terms.pop(key, None)
-                else:
-                    out._terms[key] = v
-        return out
-
-    def mul_radical(self, r: Radical) -> "RadicalSum":
-        return self.mul(RadicalSum.from_radical(r))
-
-    def conjugate(self) -> "RadicalSum":
-        out = RadicalSum()
-        for (k, im, s), c in self._terms.items():
-            out._terms[(-k, im, s)] = -c if im else c
-        return out
-
-    def copy(self) -> "RadicalSum":
-        out = RadicalSum()
-        out._terms = dict(self._terms)
-        return out
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self) -> list[Radical]:
-        out = []
-        for (k, im, s), c in sorted(self._terms.items()):
-            phase = im if c > 0 else im + 2
-            out.append(Radical(k, phase, abs(c), s))
-        return out
-
-    def as_radical(self) -> Radical:
-        """The value as a single monomial; raises if the sum has 2+ terms."""
-        ts = self.terms()
-        if not ts:
-            return Radical.zero()
-        if len(ts) > 1:
-            raise ValueError(f"not a monomial: {self}")
-        return ts[0]
-
-    def value(self, xi: complex = 1.0) -> complex:
-        return sum((t.value(xi) for t in self.terms()), 0j)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RadicalSum):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        raise TypeError("RadicalSum is unhashable")
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        return " + ".join(str(t) for t in self.terms())

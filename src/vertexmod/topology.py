@@ -94,17 +94,6 @@ class InternalElements:
     vertices: list[Vertex]
 
 
-def _neighbor_steps(cfg: Configuration):
-    """(weight delta, orientation, doubled-midpoint delta, lift step) per move."""
-    a, b = cfg.lat.alpha, cfg.lat.beta
-    return (
-        (a, 1, a, (1, 0)),   # cross V at 2w+a going to w+a
-        (-a, 1, -a, (-1, 0)),
-        (b, 2, b, (0, 1)),   # cross H at 2w+b going to w+b
-        (-b, 2, -b, (0, -1)),
-    )
-
-
 def default_window(cfg: Configuration) -> tuple[int, int]:
     """Weight window guaranteed to contain every finite component."""
     lat = cfg.lat
@@ -127,7 +116,7 @@ def components(cfg: Configuration, window: tuple[int, int] | None = None) -> lis
         raise ValueError(f"configuration violates conservation at {bad[:4]}")
     lat = cfg.lat
     lo, hi = window if window is not None else default_window(cfg)
-    steps = _neighbor_steps(cfg)
+    steps = lat.steps.values()
     seen: dict[int, int] = {}
     raw = []
     for w0 in range(lo, hi + 1):
@@ -142,8 +131,8 @@ def components(cfg: Configuration, window: tuple[int, int] | None = None) -> lis
         while queue:
             w = queue.popleft()
             lx, ly = lifts[w]
-            for dw, i, dmid, (sx, sy) in steps:
-                if cfg.mult_mid2(i, 2 * w + dmid):
+            for dw, i, (sx, sy) in steps:
+                if cfg.mult_mid2(i, 2 * w + dw):
                     continue
                 w2 = w + dw
                 if w2 < lo or w2 > hi:
@@ -273,8 +262,8 @@ def subcomponents(cfg: Configuration, comp: Component, ov: Overlay) -> list[Subc
         queue = deque([w0])
         while queue:
             w = queue.popleft()
-            for dw, i, dmid, _ in _neighbor_steps(cfg):
-                s = sign_by_mid2.get((i, 2 * w + dmid))
+            for dw, i, _ in lat.steps.values():
+                s = sign_by_mid2.get((i, 2 * w + dw))
                 if s is None:
                     continue  # not internal: supported or leaves the component
                 w2 = w + dw
@@ -296,8 +285,8 @@ def subcomponents(cfg: Configuration, comp: Component, ov: Overlay) -> list[Subc
         queue = deque([w0])
         while queue:
             w = queue.popleft()
-            for dw, i, dmid, _ in _neighbor_steps(cfg):
-                if sign_by_mid2.get((i, 2 * w + dmid)) == 1 and (w + dw) not in piece:
+            for dw, i, _ in lat.steps.values():
+                if sign_by_mid2.get((i, 2 * w + dw)) == 1 and (w + dw) not in piece:
                     piece[w + dw] = piece_id
                     queue.append(w + dw)
     flip = color[comp.min_weight]

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .configuration import Configuration
 from .lattice import Edge, Vertex
-from .linalg import SparseMat
+from .linalg import MonomialMat
 from .representation import ModuleRep
 from .topology import Component, overlay, subcomponents
 
@@ -196,8 +196,8 @@ def gram_diag(rep: ModuleRep, table: SignTable | None = None) -> list[int]:
     return [table.sign(w) for w in rep.weights]
 
 
-def gram_matrix(rep: ModuleRep, table: SignTable | None = None) -> SparseMat:
-    return SparseMat.diagonal([Fraction(s) for s in gram_diag(rep, table)])
+def gram_matrix(rep: ModuleRep, table: SignTable | None = None) -> MonomialMat:
+    return MonomialMat.diagonal([Fraction(s) for s in gram_diag(rep, table)])
 
 
 @dataclass
@@ -231,7 +231,7 @@ def verify_invariance(rep: ModuleRep, table: SignTable | None = None) -> Invaria
     return InvarianceReport(failures=failures, checked=checked)
 
 
-def adjoint_matrix(rep: ModuleRep, gen: str, table: SignTable | None = None) -> SparseMat:
+def adjoint_matrix(rep: ModuleRep, gen: str, table: SignTable | None = None) -> MonomialMat:
     """Form adjoint G^-1 M^dagger G (G is its own inverse)."""
     G = gram_matrix(rep, table)
     return G @ rep.matrix(gen).conj_transpose() @ G
@@ -341,17 +341,15 @@ def _component_sign_constant(cfg: Configuration, comp: Component, flip: bool) ->
         return len(signs) == 1
     from collections import deque
 
-    from .topology import _neighbor_steps
-
     w0 = comp.min_weight
     local = {w0: 1}
     queue = deque([w0])
     while queue:
         w = queue.popleft()
-        for dw, i, dmid, _ in _neighbor_steps(cfg):
-            if cfg.mult_mid2(i, 2 * w + dmid) or (w + dw) not in comp.weights:
+        for dw, i, _ in cfg.lat.steps.values():
+            if cfg.mult_mid2(i, 2 * w + dw) or (w + dw) not in comp.weights:
                 continue
-            parity = (cfg.count_above(i, 2 * w + dmid) + 1) % 2
+            parity = (cfg.count_above(i, 2 * w + dw) + 1) % 2
             s = local[w] if parity == 0 else -local[w]
             if w + dw in local:
                 if local[w + dw] != s:

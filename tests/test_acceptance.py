@@ -30,7 +30,7 @@ from vertexmod.cli import main
 from vertexmod.configfile import parse
 from vertexmod.configuration import Configuration, random_config
 from vertexmod.lattice import Lattice
-from vertexmod.linalg import SparseMat
+from vertexmod.linalg import MonomialMat
 from vertexmod.representation import (
     balanced_words,
     build_module,
@@ -250,9 +250,9 @@ def test_criterion_06_casimir(examples):
                 continue
             mrep = build_module(cfg, comp)
             word = balanced_words(cfg.lat.m, cfg.lat.n)[0]
-            C = SparseMat.diagonal([casimir(mrep, word).scalar] * mrep.dim)
+            C = MonomialMat.diagonal([casimir(mrep, word).scalar] * mrep.dim)
             G = gram_matrix(mrep)
-            assert (G @ C.conj_transpose() @ G) @ C == SparseMat.identity(mrep.dim)
+            assert (G @ C.conj_transpose() @ G) @ C == MonomialMat.identity(mrep.dim)
     report(6, "casimir: word independent, xi on empty windows and bands, unitary")
 
 

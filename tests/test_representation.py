@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import staircase_band
 from vertexmod.configuration import Configuration, random_config
 from vertexmod.lattice import Lattice
-from vertexmod.linalg import SparseMat
+from vertexmod.linalg import MonomialMat
 from vertexmod.representation import (
     balanced_words,
     build_module,
@@ -53,6 +53,31 @@ def test_build_module_example2(example2):
     assert verify_relations(rep2).ok
 
 
+def test_negated_entry_fails_product_relations(example2):
+    rep = build_module(example2, components(example2)[0])
+    rep.mats["X1+"][(1, 2)] = rep.mats["X1+"][(1, 2)].times_rational(-1)
+    report = verify_relations(rep)
+    assert [f.split(":")[0] for f in report.failures] == [
+        "X1+X1- at weight 2", "X1-X1+ at weight 4"]
+
+
+def test_second_entry_in_column_is_not_monomial(example2):
+    rep = build_module(example2, components(example2)[0])
+    rep.mats["X1+"][(0, 2)] = Radical.one()  # column 2 already holds (1, 2)
+    report = verify_relations(rep)
+    assert "X1+ is not monomial" in report.failures
+    assert report.skipped == ["product relations and commutators (not monomial)"]
+
+
+def test_winding_factor_fails_commutator(example3):
+    rep = build_module(example3, finite_comps(example3)[1])
+    rep.mats["X2-"][(0, 5)] = rep.mats["X2-"][(0, 5)] * Radical.xi_power(1)
+    failures = verify_relations(rep).failures
+    assert "[X1+,X2-] fails at basis weight 12" in failures
+    assert [f.split(":")[0] for f in failures if "X2+" in f] == [
+        "X2+X2- at weight 10", "X2-X2+ at weight 5"]
+
+
 def test_window_required_for_infinite(example2):
     inf = [c for c in components(example2) if not c.finite][0]
     with pytest.raises(ValueError):
@@ -90,7 +115,7 @@ def test_empty_window_module(lat52):
     # interior product relations reduce to the identity
     prod = rep.matrix("X1+") @ rep.matrix("X1-")
     mid = rep.index(0)
-    assert prod.entry(mid, mid).as_radical() == Radical.one()
+    assert prod.entry(mid, mid) == Radical.one()
 
 
 def test_crossing_order(example1_d4, lat52):
@@ -150,8 +175,8 @@ def test_relations_on_random_configs(mn, k, seed):
 def test_word_matrix(example2):
     d2 = components(example2)[0]
     rep = build_module(example2, d2)
-    assert word_matrix(rep, []) == SparseMat.identity(3)
-    assert word_matrix(rep, ["H"]) == SparseMat.diagonal([Fraction(w) for w in rep.weights])
+    assert word_matrix(rep, []) == MonomialMat.identity(3)
+    assert word_matrix(rep, ["H"]) == MonomialMat.diagonal([Fraction(w) for w in rep.weights])
     # composition order: rightmost acts first
     assert word_matrix(rep, ["X1+", "X1-"]) == rep.matrix("X1+") @ rep.matrix("X1-")
 
@@ -165,7 +190,7 @@ def test_loop_operator_adjoint_identity(example1_d4, example2):
             for word in balanced_words(cfg.lat.m, cfg.lat.n)[:3]:
                 X = loop_matrix(rep, word)
                 lhs = (G @ X.conj_transpose() @ G) @ X
-                rhs = SparseMat.diagonal(
+                rhs = MonomialMat.diagonal(
                     [path_poly_product(cfg, word, w) for w in rep.weights])
                 assert lhs == rhs
 
@@ -205,9 +230,9 @@ def test_casimir_unitary(example3):
     comp = [c for c in finite_comps(example3) if not c.contractible][0]
     rep = build_module(example3, comp)
     res = casimir(rep, "1111122")
-    C = SparseMat.diagonal([res.scalar] * rep.dim)
+    C = MonomialMat.diagonal([res.scalar] * rep.dim)
     G = gram_matrix(rep)
-    assert (G @ C.conj_transpose() @ G) @ C == SparseMat.identity(rep.dim)
+    assert (G @ C.conj_transpose() @ G) @ C == MonomialMat.identity(rep.dim)
 
 
 def test_export_triplets(example2):

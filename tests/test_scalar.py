@@ -4,7 +4,8 @@ from math import isqrt
 import pytest
 from hypothesis import given, strategies as st
 
-from vertexmod.scalar import Radical, RadicalSum, squarefree_decompose
+from vertexmod.linalg import MonomialMat
+from vertexmod.scalar import Radical, squarefree_decompose
 
 radicals = st.builds(
     lambda k, a, num, den, root: Radical.make(k, a, Fraction(num, den), root),
@@ -77,47 +78,70 @@ def test_conjugate_matches_numeric(x):
     assert abs(x.conjugate().value(xi) - x.value(xi).conjugate()) < 1e-9
 
 
-def test_sum_cancellation():
-    q = Radical.make(phase=1, root=24)
-    s = RadicalSum.from_radical(q).add_radical(Radical.make(phase=3, root=24))
-    assert s.is_zero
-    t = RadicalSum.from_radical(Radical.make(root=2)).add_radical(Radical.make(root=3))
-    assert not t.is_zero and len(t.terms()) == 2
-    u = RadicalSum.from_radical(Radical.make(xi_exp=1, root=2)).add_radical(
-        Radical.make(xi_exp=2, root=2))
-    assert len(u.terms()) == 2
+XI = complex(0.6, 0.8)  # unit modulus
 
 
-@given(st.lists(radicals, max_size=5), st.lists(radicals, max_size=5))
-def test_sum_mul_distributes(xs, ys):
-    sx, sy = RadicalSum(), RadicalSum()
-    for x in xs:
-        sx = sx.add_radical(x)
-    for y in ys:
-        sy = sy.add_radical(y)
-    direct = sx.mul(sy)
-    term_by_term = RadicalSum()
-    for x in xs:
-        for y in ys:
-            term_by_term = term_by_term.add_radical(x * y)
-    assert direct == term_by_term
+@st.composite
+def monomial_dicts(draw, dim):
+    """Entries of a random partial permutation matrix with radical values."""
+    rows = draw(st.permutations(range(dim)))
+    vals = draw(st.lists(st.none() | nonzero_radicals, min_size=dim, max_size=dim))
+    return {(r, c): v for c, (r, v) in enumerate(zip(rows, vals)) if v is not None}
 
 
-@given(st.lists(radicals, max_size=6))
-def test_sum_zero_detection_matches_numeric(xs):
-    s = RadicalSum()
-    for x in xs:
-        s = s.add_radical(x)
-    val = s.value(complex(0.6, 0.8))
-    if s.is_zero:
-        assert abs(val) < 1e-9
-    # and subtracting the sum from itself is always exactly zero
-    assert (s - s).is_zero
+def dense(dim, entries):
+    out = [[0j] * dim for _ in range(dim)]
+    for (r, c), v in entries.items():
+        out[r][c] = v.value(XI)
+    return out
 
 
-@given(nonzero_radicals)
-def test_as_radical_roundtrip(x):
-    assert RadicalSum.from_radical(x).as_radical() == x
+def dense_matmul(a, b):
+    n = len(a)
+    return [[sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)] for r in range(n)]
+
+
+def assert_matches(mat, expected):
+    n = len(expected)
+    for r in range(n):
+        for c in range(n):
+            got = mat.entry(r, c).value(XI)
+            assert abs(got - expected[r][c]) <= 1e-9 * max(1.0, abs(got))
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), monomial_dicts(n), monomial_dicts(n))))
+def test_monomial_mat_matches_dense(args):
+    dim, ea, eb = args
+    a, b = MonomialMat(dim, ea), MonomialMat(dim, eb)
+    da, db = dense(dim, ea), dense(dim, eb)
+    assert_matches(a, da)
+    assert_matches(a @ b, dense_matmul(da, db))
+    conj = [[da[c][r].conjugate() for c in range(dim)] for r in range(dim)]
+    assert_matches(a.conj_transpose(), conj)
+    assert (a @ b).conj_transpose() == b.conj_transpose() @ a.conj_transpose()
+    assert a @ MonomialMat.identity(dim) == a == MonomialMat.identity(dim) @ a
+
+
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), monomial_dicts(n))),
+       nonzero_radicals, st.data())
+def test_monomial_mat_rejects_second_entry(args, extra, data):
+    dim, entries = args
+    if not entries:
+        entries = {(0, 0): extra}
+    r, c = data.draw(st.sampled_from(sorted(entries)))
+    # free row r2 elsewhere, then put a second entry into column c
+    r2 = data.draw(st.sampled_from([x for x in range(dim) if x != r]))
+    base = {rc: v for rc, v in entries.items() if rc[0] != r2}
+    MonomialMat(dim, base)
+    with pytest.raises(ValueError):
+        MonomialMat(dim, {**base, (r2, c): extra})
+    # free column c2 elsewhere, then put a second entry into row r
+    c2 = data.draw(st.sampled_from([x for x in range(dim) if x != c]))
+    base = {rc: v for rc, v in entries.items() if rc[1] != c2}
+    MonomialMat(dim, base)
+    with pytest.raises(ValueError):
+        MonomialMat(dim, {**base, (r, c2): extra})
 
 
 def test_display_form():

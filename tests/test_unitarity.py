@@ -67,6 +67,12 @@ def test_gram_and_invariance_example2(example2):
     assert verify_invariance(rep).ok
 
 
+def test_negated_entry_fails_invariance(example2):
+    rep = build_module(example2, components(example2)[0])
+    rep.mats["X1+"][(1, 2)] = rep.mats["X1+"][(1, 2)].times_rational(-1)
+    assert verify_invariance(rep).failures == ["form invariance fails for X1+-"]
+
+
 def test_gram_band_alternates(example1_d4):
     band = finite_comps(example1_d4)[0]
     rep = build_module(example1_d4, band)
