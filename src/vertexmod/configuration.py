@@ -16,6 +16,12 @@ Attached to a configuration are, for each orientation i:
   to P_i(e) and again solves the vertex factorization identity
   (Mazorchuk-Turowska equation) p_1(v + beta/2) p_2(v + alpha/2)
   = p_1(v - beta/2) p_2(v - alpha/2).
+
+A configuration never changes after construction (its ``edges`` map is a
+read-only view), so P_i and q_i are memoized per instance, keyed by
+orientation and doubled midpoint.  Both are computed in integers: the
+numerator prod (u2 - m)^k of P_i, and for q_i one small squarefree
+decomposition per root, with the power of two 2^deg_i divided out once.
 """
 
 from __future__ import annotations
@@ -24,9 +30,11 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from types import MappingProxyType
 
 from .lattice import HORIZONTAL, VERTICAL, Edge, Lattice, Vertex
-from .scalar import Radical
+from .scalar import Radical, squarefree_decompose
 
 _ORIENT_KIND = {1: VERTICAL, 2: HORIZONTAL}
 
@@ -74,7 +82,7 @@ class Configuration:
                 raise ValueError(f"multiplicity must be positive, got {k} at {e}")
             ce = lat.canonical_edge(e)
             edges[ce] = edges.get(ce, 0) + k
-        self.edges = edges
+        self.edges = MappingProxyType(edges)
         # per-orientation lookup tables keyed by doubled midpoint
         self._mid2: dict[int, dict[int, int]] = {1: {}, 2: {}}
         for e, k in edges.items():
@@ -90,6 +98,9 @@ class Configuration:
                 suf[j] = suf[j + 1] + self._mid2[i][mids[j]]
             self._sorted[i] = mids
             self._suffix[i] = suf
+        # memoized edge values, keyed by (orientation, doubled midpoint)
+        self._poly: dict[tuple[int, int], Fraction] = {}
+        self._sqrt: dict[tuple[int, int], Radical] = {}
 
     # -- basic queries -----------------------------------------------------
 
@@ -154,9 +165,12 @@ class Configuration:
 
     def poly_eval(self, i: int, u2: int) -> Fraction:
         """Exact value of P_i at the point with doubled coordinate u2."""
-        val = Fraction(1)
-        for m in self._sorted[i]:
-            val *= Fraction(u2 - m, 2) ** self._mid2[i][m]
+        val = self._poly.get((i, u2))
+        if val is None:
+            num = 1
+            for m in self._sorted[i]:
+                num *= (u2 - m) ** self._mid2[i][m]
+            val = self._poly[i, u2] = Fraction(num, 2 ** self.total_multiplicity(i))
         return val
 
     def count_above(self, i: int, e) -> int:
@@ -171,13 +185,29 @@ class Configuration:
     def sqrt_value(self, i: int, e) -> Radical:
         """The square root i^(count above) * sqrt(|P_i(e)|) of the edge polynomial."""
         mid2 = self._as_mid2(i, e)
-        out = Radical(0, self.count_above(i, mid2) % 4, Fraction(1), 1)
-        for m in self._sorted[i]:
-            f = Radical.sqrt_rational(abs(Fraction(mid2 - m, 2))) ** self._mid2[i][m]
-            if f.is_zero:
+        q = self._sqrt.get((i, mid2))
+        if q is None:
+            q = self._sqrt[i, mid2] = self._sqrt_value(i, mid2)
+        return q
+
+    def _sqrt_value(self, i: int, mid2: int) -> Radical:
+        # sqrt|P_i| = sqrt(prod |mid2 - m|^k * 2^deg) / 2^deg; each factor
+        # d^k with d = g^2 s (s squarefree) gives g^k s^(k//2), times sqrt(s)
+        # when k is odd, folded into the root with a gcd
+        deg = self.total_multiplicity(i)
+        factors = [(abs(mid2 - m), k) for m, k in self._mid2[i].items()]
+        factors.append((2, deg))
+        coeff, root = 1, 1
+        for d, k in factors:
+            if d == 0:
                 return Radical.zero()
-            out = out * f
-        return out
+            g, s = squarefree_decompose(d)
+            coeff *= g**k * s ** (k // 2)
+            if k % 2:
+                h = gcd(root, s)
+                coeff *= h
+                root = (root // h) * (s // h)
+        return Radical(0, self.count_above(i, mid2) % 4, Fraction(coeff, 2**deg), root)
 
     def root_value(self, i: int, e, degree: int) -> tuple[int, Fraction, int]:
         """Data of the degree-N root of P_i at e.

@@ -309,10 +309,12 @@ def path_sqrt_product(cfg: Configuration, steps: str, w) -> Radical:
 def path_poly_product(cfg: Configuration, steps: str, w) -> Fraction:
     """Ordered product of edge polynomial values along a face path."""
     w = cfg.lat.face_weight(w) if not isinstance(w, int) else w
-    out = Fraction(1)
+    num = den = 1
     for i, mid2 in _walk(cfg, steps, w):
-        out *= cfg.poly_eval(i, mid2)
-    return out
+        p = cfg.poly_eval(i, mid2)
+        num *= p.numerator
+        den *= p.denominator
+    return Fraction(num, den)
 
 
 def order_support(cfg: Configuration, word: str) -> dict[int, int]:
@@ -346,10 +348,10 @@ def order_product(cfg: Configuration, word: str, mu: int,
     """The polynomial prod (mu - lambda)^order(word, lambda) evaluated exactly."""
     if support is None:
         support = order_support(cfg, word)
-    out = Fraction(1)
+    out = 1
     for lam, o in support.items():
-        out *= Fraction(mu - lam) ** o
-    return out
+        out *= (mu - lam) ** o
+    return Fraction(out)
 
 
 @dataclass

@@ -119,14 +119,6 @@ class Radical:
         phase = self.phase if q > 0 else (self.phase + 2) % 4
         return Radical(self.xi_exp, phase, self.coeff * abs(q), self.root)
 
-    def __pow__(self, k: int) -> "Radical":
-        if k < 0:
-            raise ValueError("negative powers are not defined for radicals")
-        out = Radical.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     def conjugate(self) -> "Radical":
         """Complex conjugate under the unit-circle rule xi -> xi^-1."""
         if self.is_zero:

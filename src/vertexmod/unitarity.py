@@ -368,13 +368,14 @@ def _geometric_count_above(cfg: Configuration, i: int, e: Edge) -> int:
     A supported same-orientation edge lies above the slope n/m line through
     the midpoint of e iff m*py - n*px exceeds the same form at e, where
     (px, py) is the drawn midpoint; the comparison is period invariant.
+    Levels are doubled so that they stay integers.
     """
-    lat = cfg.lat
+    m, n = cfg.lat.m, cfg.lat.n
 
-    def drawn_level(kind, x, y) -> Fraction:
+    def drawn_level(kind, x, y) -> int:
         if kind == "V":
-            return lat.m * (Fraction(y) - Fraction(1, 2)) - lat.n * x
-        return lat.m * y - lat.n * (Fraction(x) - Fraction(1, 2))
+            return 2 * m * y - m - 2 * n * x
+        return 2 * m * y - 2 * n * x + n
 
     level = drawn_level(e.kind, e.x, e.y)
     total = 0

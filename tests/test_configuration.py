@@ -1,7 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vertexmod.configuration import (
     Configuration,
@@ -103,6 +104,60 @@ def test_sqrt_value(example2, lat52):
     assert example2.sqrt_value(1, Edge("V", 3, 2)) == Radical.make(phase=1, root=24)
     assert Configuration(lat52, {}).sqrt_value(1, 4) == Radical.one()
     assert example2.sqrt_value(1, Edge("V", 2, 1)) == Radical.zero()  # supported edge
+
+
+def _reference_edge_values(cfg, i, mid2):
+    """P_i and q_i at mid2 rebuilt root by root, sharing no code with the memo."""
+    roots = cfg.poly_roots(i)
+    p = Fraction(1)
+    q = Radical(0, sum(1 for r in roots if r > mid2) % 4, Fraction(1), 1)
+    for r in roots:
+        p *= Fraction(mid2 - r, 2)
+        q = q * Radical.sqrt_rational(Fraction(abs(mid2 - r), 2))
+    return p, q
+
+
+@given(st.sampled_from([(1, 1), (2, 1), (3, 2), (5, 2), (4, 3), (5, 3)]),
+       st.integers(0, 3), st.integers(0, 10**6))
+@example((1, 1), 3, 3)  # repeated roots, odd total degree in both orientations
+@example((5, 2), 3, 2)  # repeated roots, odd total degree 15 in orientation 2
+@example((5, 3), 1, 0)  # simple roots, odd total degree in both orientations
+@example((5, 2), 0, 0)  # the empty configuration
+@settings(max_examples=60, deadline=None)
+def test_memoized_edge_values_match_reference(mn, k, seed):
+    cfg = random_config(Lattice(*mn), k, seed)
+    lo, hi = cfg.support_mid2_range() or (0, 0)
+    margin = 2 * (cfg.lat.m + cfg.lat.n)
+    queries = [(i, mid2) for i in (1, 2) for mid2 in range(lo - margin, hi + margin + 1)] * 2
+    random.Random(seed).shuffle(queries)
+    for i, mid2 in queries:
+        p, q = _reference_edge_values(cfg, i, mid2)
+        assert cfg.poly_eval(i, mid2) == p
+        assert cfg.sqrt_value(i, mid2) == q
+
+
+def test_reference_examples_cover_repeats_and_odd_degree():
+    for mn, k, seed, repeated, degrees in [((1, 1), 3, 3, True, (3, 3)),
+                                           ((5, 2), 3, 2, True, (6, 15)),
+                                           ((5, 3), 1, 0, False, (3, 5))]:
+        cfg = random_config(Lattice(*mn), k, seed)
+        assert any(m > 1 for m in cfg.edges.values()) == repeated
+        assert (cfg.total_multiplicity(1), cfg.total_multiplicity(2)) == degrees
+
+
+def test_edges_are_read_only(example2, lat52):
+    e = Edge("H", 1, 0)
+    q = example2.sqrt_value(2, 5)
+    with pytest.raises(TypeError):
+        example2.edges[e] = 5
+    with pytest.raises(TypeError):
+        del example2.edges[e]
+    assert example2.mult(e) == 2
+    assert example2.sqrt_value(2, 5) == q
+    again = from_paths(lat52, [VertexPath((0, 0), "1121112"), VertexPath((0, 0), "1212111")])
+    assert again == example2
+    assert Configuration(lat52, dict(example2.edges)) == example2
+    assert Configuration(lat52, {}) != example2
 
 
 @given(lattices, st.integers(0, 3), st.integers(0, 10**6))

@@ -240,3 +240,28 @@ def test_export_triplets(example2):
     text = rep.export_triplets("X1-")
     assert "2 1 i^1 * 2*sqrt(6)" in text.splitlines()
     assert rep.export_triplets("H").splitlines()[0] == "0 0 0"
+
+
+def _is_power_of_two(d: int) -> bool:
+    return d & (d - 1) == 0
+
+
+@given(st.sampled_from([(3, 2), (5, 2), (5, 3), (4, 3)]), st.integers(0, 3),
+       st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_coefficients_have_power_of_two_denominators(mn, k, seed):
+    # every Radical the package builds from edge values has coeff = a / 2^b
+    cfg = random_config(Lattice(*mn), k, seed)
+    lo, hi = cfg.support_mid2_range() or (0, 0)
+    margin = 2 * (cfg.lat.m + cfg.lat.n)
+    values = [cfg.sqrt_value(i, mid2) for i in (1, 2) for mid2 in range(lo - margin, hi + margin + 1)]
+    words = balanced_words(*mn)
+    for comp in components(cfg):
+        rep = build_module(cfg, comp, comp.window)
+        values += [v for entries in rep.mats.values() for v in entries.values()]
+        for word in words:
+            scalar = casimir(rep, word).scalar
+            if scalar is not None:
+                values.append(scalar)
+    bad = [str(v) for v in values if not _is_power_of_two(v.coeff.denominator)]
+    assert not bad, bad[:5]
