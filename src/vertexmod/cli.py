@@ -173,9 +173,9 @@ def cmd_signature(args) -> int:
         }
         _emit(args, obj, f"component {comp.id}: window sign counts {_sig(sig)} (partial)")
         return PASS
-    direct = signature_direct(cfg, comp)
+    direct = signature_direct(cfg, comp, involution=cf.involution)
     coloring = signature_coloring(cfg, comp, cf.involution)
-    agree = (direct == coloring) if cf.involution == "star" else True
+    agree = direct == coloring
     unit = unitarizability_report(cfg, comp, cf.involution)
     dual = dual_invariants(comp, cf.xi)
     ok = agree and unit.agree
@@ -265,7 +265,7 @@ def cmd_catalog(args) -> int:
     lat = Lattice(args.m, args.n)
     rng = random.Random(args.seed)
     written = 0
-    with open(args.out, "a", encoding="utf-8") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         for sample in range(args.samples):
             cfg = random_config(lat, args.k, rng)
             comps = components(cfg)

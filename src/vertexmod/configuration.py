@@ -209,21 +209,6 @@ class Configuration:
                 root = (root // h) * (s // h)
         return Radical(0, self.count_above(i, mid2) % 4, Fraction(coeff, 2**deg), root)
 
-    def root_value(self, i: int, e, degree: int) -> tuple[int, Fraction, int]:
-        """Data of the degree-N root of P_i at e.
-
-        Returns (phase numerator mod 2N, |P_i(e)|, N); the represented value
-        is exp(2*pi*i*phase/(2N)) * |P_i(e)|^(1/N).
-        """
-        if degree < 1:
-            raise ValueError("root degree must be >= 1")
-        mid2 = self._as_mid2(i, e)
-        return (
-            self.count_above(i, mid2) % (2 * degree),
-            abs(self.poly_eval(i, mid2)),
-            degree,
-        )
-
     def _as_mid2(self, i: int, e) -> int:
         if isinstance(e, Edge):
             want = _ORIENT_KIND[i]

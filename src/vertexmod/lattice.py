@@ -63,12 +63,15 @@ class Step(NamedTuple):
     lift: tuple[int, int]
 
 
+_TOKEN_STEP = {"1": "X1+", "2": "X2+", 1: "X1+", -1: "X1-", 2: "X2+", -2: "X2-"}
+
+
 @dataclass(frozen=True)
 class Lattice:
     """The period pair (m, n) with weight steps alpha = -n, beta = m.
 
     ``steps`` maps each generator name to its move, in the fixed order every
-    flood fill uses.
+    flood fill uses; ``walk`` follows a face path by the same moves.
     """
 
     m: int
@@ -76,6 +79,7 @@ class Lattice:
     alpha: int = field(init=False)
     beta: int = field(init=False)
     steps: dict[str, Step] = field(init=False, repr=False, compare=False)
+    _moves: dict = field(init=False, repr=False, compare=False)  # walk token -> (dw, orient)
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
@@ -85,12 +89,14 @@ class Lattice:
         object.__setattr__(self, "alpha", -self.n)
         object.__setattr__(self, "beta", self.m)
         a, b = self.alpha, self.beta
-        object.__setattr__(self, "steps", {
+        steps = {
             "X1+": Step(a, 1, (1, 0)),    # cross V at 2w+alpha going to w+alpha
             "X1-": Step(-a, 1, (-1, 0)),
             "X2+": Step(b, 2, (0, 1)),    # cross H at 2w+beta going to w+beta
             "X2-": Step(-b, 2, (0, -1)),
-        })
+        }
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "_moves", {t: steps[g][:2] for t, g in _TOKEN_STEP.items()})
 
     # -- weights ---------------------------------------------------------
 
@@ -112,6 +118,22 @@ class Lattice:
         x, y = v
         return 2 * (x * self.alpha + y * self.beta) + self.alpha + self.beta
 
+    def walk(self, w: int, tokens):
+        """Yield (orientation, doubled midpoint, next weight) per crossed edge.
+
+        The face path starts at weight w.  A token is a word letter "1" or
+        "2" (the raising step X1+ or X2+) or a signed orientation 1, -1, 2,
+        -2 (X1+, X1-, X2+, X2-).
+        """
+        moves = self._moves
+        for t in tokens:
+            try:
+                dw, i = moves[t]
+            except (KeyError, TypeError):
+                raise ValueError(f"step token must be '1', '2', 1, -1, 2 or -2, got {t!r}") from None
+            yield i, 2 * w + dw, w + dw
+            w += dw
+
     # -- canonicalization --------------------------------------------------
 
     def canonicalize(self, f) -> tuple[Face, int]:
@@ -127,11 +149,6 @@ class Lattice:
         kind, x, y = e
         (cx, cy), _ = self.canonicalize((x, y))
         return Edge(kind, cx, cy)
-
-    def canonical_vertex(self, v) -> Vertex:
-        x, y = v
-        (cx, cy), _ = self.canonicalize((x, y))
-        return Vertex(cx, cy)
 
     # -- inverse maps (weight -> canonical object) -------------------------
 

@@ -34,7 +34,7 @@ from .configuration import Configuration
 from .lattice import Face
 from .linalg import MonomialMat
 from .scalar import Radical
-from .topology import Component
+from .topology import Component, flood, lift_moves
 
 GENERATORS = ("X1+", "X1-", "X2+", "X2-")
 
@@ -134,7 +134,8 @@ def build_module(cfg: Configuration, comp: Component, window: tuple[int, int] | 
             lx, ly = lifts[w]
             tx, ty = lifts[w2]
             k = (lx + sx - tx) // lat.m
-            assert (lx + sx - tx, ly + sy - ty) == (k * lat.m, k * lat.n)
+            if (lx + sx - tx, ly + sy - ty) != (k * lat.m, k * lat.n):
+                raise AssertionError(f"{gen} lifts at weight {w} differ by a non-period")
             if k and comp.contractible:
                 raise AssertionError("winding factor inside a contractible component")
             entry = Radical(k, q.phase, q.coeff, q.root)
@@ -145,26 +146,11 @@ def build_module(cfg: Configuration, comp: Component, window: tuple[int, int] | 
 
 def _window_flood(cfg, comp, lo, hi):
     """Component faces inside [lo, hi], lifted consistently with comp.lifts."""
-    from collections import deque
-
-    seeds = sorted(w for w in comp.weights if lo <= w <= hi)
+    moves = lift_moves(cfg, lo, hi, [])
     lifts: dict[int, tuple[int, int]] = {}
-    for s in seeds:
-        if s in lifts:
-            continue
-        lifts[s] = comp.lifts[s]
-        queue = deque([s])
-        while queue:
-            w = queue.popleft()
-            lx, ly = lifts[w]
-            for dw, i, (sx, sy) in cfg.lat.steps.values():
-                w2 = w + dw
-                if w2 in lifts or w2 < lo or w2 > hi:
-                    continue
-                if cfg.mult_mid2(i, 2 * w + dw):
-                    continue
-                lifts[w2] = (lx + sx, ly + sy)
-                queue.append(w2)
+    for s in sorted(w for w in comp.weights if lo <= w <= hi):
+        if s not in lifts:
+            lifts.update(flood(s, comp.lifts[s], moves)[0])
     return sorted(lifts), lifts
 
 
@@ -262,20 +248,6 @@ def verify_relations(rep: ModuleRep) -> RelationReport:
 # -- face-path walks -----------------------------------------------------------
 
 
-def _walk(cfg: Configuration, steps: str, w: int):
-    """Yield (orientation, doubled midpoint) of each edge crossed from weight w."""
-    a, b = cfg.lat.alpha, cfg.lat.beta
-    for s in steps:
-        if s == "1":
-            yield 1, 2 * w + a
-            w += a
-        elif s == "2":
-            yield 2, 2 * w + b
-            w += b
-        else:
-            raise ValueError(f"steps must be over {{1,2}}, got {s!r}")
-
-
 def crossing_order(cfg: Configuration, word: str, w) -> int:
     """Multiplicity of supported vertical edges crossed by the closed loop.
 
@@ -286,12 +258,13 @@ def crossing_order(cfg: Configuration, word: str, w) -> int:
     if word.count("1") != cfg.lat.m or word.count("2") != cfg.lat.n:
         raise ValueError(f"word {word!r} is not balanced for {(cfg.lat.m, cfg.lat.n)}")
     vert = horiz = 0
-    for i, mid2 in _walk(cfg, word, w):
+    for i, mid2, _ in cfg.lat.walk(w, word):
         if i == 1:
             vert += cfg.mult_mid2(1, mid2)
         else:
             horiz += cfg.mult_mid2(2, mid2)
-    assert vert == horiz, f"vertical/horizontal crossing counts differ at {w}"
+    if vert != horiz:
+        raise AssertionError(f"vertical/horizontal crossing counts differ at {w}")
     return vert
 
 
@@ -299,7 +272,7 @@ def path_sqrt_product(cfg: Configuration, steps: str, w) -> Radical:
     """Ordered product of square-root values along a face path (no gauge)."""
     w = cfg.lat.face_weight(w) if not isinstance(w, int) else w
     out = Radical.one()
-    for i, mid2 in _walk(cfg, steps, w):
+    for i, mid2, _ in cfg.lat.walk(w, steps):
         out = out * cfg.sqrt_value(i, mid2)
         if out.is_zero:
             return out
@@ -310,7 +283,7 @@ def path_poly_product(cfg: Configuration, steps: str, w) -> Fraction:
     """Ordered product of edge polynomial values along a face path."""
     w = cfg.lat.face_weight(w) if not isinstance(w, int) else w
     num = den = 1
-    for i, mid2 in _walk(cfg, steps, w):
+    for i, mid2, _ in cfg.lat.walk(w, steps):
         p = cfg.poly_eval(i, mid2)
         num *= p.numerator
         den *= p.denominator
@@ -320,15 +293,8 @@ def path_poly_product(cfg: Configuration, steps: str, w) -> Fraction:
 def order_support(cfg: Configuration, word: str) -> dict[int, int]:
     """All weights with positive loop order for the word, with their orders."""
     offs = {1: [], 2: []}
-    c2 = 0
-    a, b = cfg.lat.alpha, cfg.lat.beta
-    for s in word:
-        if s == "1":
-            offs[1].append(c2 + a)
-            c2 += 2 * a
-        else:
-            offs[2].append(c2 + b)
-            c2 += 2 * b
+    for i, mid2, _ in cfg.lat.walk(0, word):
+        offs[i].append(mid2)
     cands = set()
     for i in (1, 2):
         for e2 in cfg.poly_roots(i):
@@ -397,7 +363,7 @@ def check_order_product(cfg: Configuration, word: str, window: tuple[int, int]) 
             identity_failures.append(f"sqrt product != order product at {mu}: {lhs} vs {rhs}")
         if rhs < 0 or lhs.phase % 4 != 0:
             sign_failures.append(f"negative value at {mu}: {lhs}")
-        total = sum(cfg.mult_mid2(i, m2) for i, m2 in _walk(cfg, word, mu))
+        total = sum(cfg.mult_mid2(i, m2) for i, m2, _ in cfg.lat.walk(mu, word))
         if total != 2 * crossing_order(cfg, word, mu):
             crossing_failures.append(f"total crossings != 2 * order at {mu}")
         checked += 1
@@ -454,16 +420,8 @@ def casimir(rep: ModuleRep, word: str) -> CasimirResult:
     determinate, indeterminate = [], []
     scalars = {}
     for j, w in enumerate(rep.weights):
-        cur = w
-        ok = True
-        for i, mid2 in _walk(cfg, word, w):
-            if cfg.mult_mid2(i, mid2):
-                ok = False
-                break
-            cur = cur + (cfg.lat.alpha if i == 1 else cfg.lat.beta)
-            if cur != w and not rep.in_basis(cur):
-                ok = False
-                break
+        ok = not any(cfg.mult_mid2(i, mid2) or (cur != w and not rep.in_basis(cur))
+                     for i, mid2, cur in cfg.lat.walk(w, word))
         if not ok:
             indeterminate.append(w)
             continue

@@ -2,12 +2,14 @@
 
 Faces are adjacent when they share an edge of multiplicity zero, so a flood
 fill over weights (faces and integers are in bijection) cuts the cylinder
-along the configuration.  During the fill each face receives a lift in the
-plane; a revisit whose expected lift disagrees with the stored one by a
-nonzero multiple of the period proves the component wraps the cylinder
-(incontractible).  The recorded lifts double as the gauge used by the
-module construction: they are consistent along the fill tree, so within a
-contractible component no step ever picks up a winding factor.
+along the configuration.  Every fill in the package is a call of
+:func:`flood`; the fills differ only in the moves they are given.  During
+the component fill each face receives a lift in the plane; a revisit whose
+expected lift disagrees with the stored one by a nonzero multiple of the
+period proves the component wraps the cylinder (incontractible).  The
+recorded lifts double as the gauge used by the module construction: they
+are consistent along the fill tree, so within a contractible component no
+step ever picks up a winding factor.
 
 Finite components are enumerated completely.  Infinite ones are represented
 by the faces inside an enumeration window plus a complement predicate; a
@@ -105,6 +107,52 @@ def default_window(cfg: Configuration) -> tuple[int, int]:
     return (lo // 2 - margin, hi // 2 + margin + 1)
 
 
+def flood(start, value, moves):
+    """Breadth-first fill from one face; returns (values, clashes).
+
+    ``moves(w, v)`` yields ``(w2, v2)``: a neighbor of face w, which holds
+    value v, and the value it would take from w.  Faces are visited first in
+    first out, so the first arrival fixes a face's value; each later arrival
+    with a different value is listed in ``clashes`` as ``(w, w2, v2)``.
+    """
+    values = {start: value}
+    clashes = []
+    queue = deque([start])
+    while queue:
+        w = queue.popleft()
+        for w2, v2 in moves(w, values[w]):
+            old = values.get(w2)
+            if old is None:
+                values[w2] = v2
+                queue.append(w2)
+            elif old != v2:
+                clashes.append((w, w2, v2))
+    return values, clashes
+
+
+def lift_moves(cfg: Configuration, lo: int, hi: int, escapes: list[int]):
+    """Flood moves across unsupported edges inside [lo, hi], carrying plane lifts.
+
+    A face with an unsupported step out of the window is appended to
+    ``escapes`` instead.
+    """
+    steps = cfg.lat.steps.values()
+    mult = cfg.mult_mid2
+
+    def moves(w, lift):
+        lx, ly = lift
+        for dw, i, (sx, sy) in steps:
+            if mult(i, 2 * w + dw):
+                continue
+            w2 = w + dw
+            if lo <= w2 <= hi:
+                yield w2, (lx + sx, ly + sy)
+            else:
+                escapes.append(w)
+
+    return moves
+
+
 def components(cfg: Configuration, window: tuple[int, int] | None = None) -> list[Component]:
     """Flood fill the cylinder minus the configuration.
 
@@ -116,41 +164,22 @@ def components(cfg: Configuration, window: tuple[int, int] | None = None) -> lis
         raise ValueError(f"configuration violates conservation at {bad[:4]}")
     lat = cfg.lat
     lo, hi = window if window is not None else default_window(cfg)
-    steps = lat.steps.values()
-    seen: dict[int, int] = {}
+    escapes: list[int] = []
+    moves = lift_moves(cfg, lo, hi, escapes)
+    seen: set[int] = set()
     raw = []
     for w0 in range(lo, hi + 1):
         if w0 in seen:
             continue
-        comp_idx = len(raw)
-        lifts: dict[int, tuple[int, int]] = {w0: tuple(lat.face_of_weight(w0))}
-        wrapped = False
-        touches_bound = w0 in (lo, hi)
-        queue = deque([w0])
-        seen[w0] = comp_idx
-        while queue:
-            w = queue.popleft()
-            lx, ly = lifts[w]
-            for dw, i, (sx, sy) in steps:
-                if cfg.mult_mid2(i, 2 * w + dw):
-                    continue
-                w2 = w + dw
-                if w2 < lo or w2 > hi:
-                    touches_bound = True
-                    continue
-                exp = (lx + sx, ly + sy)
-                if w2 in lifts:
-                    dx = exp[0] - lifts[w2][0]
-                    assert dx % lat.m == 0 and dx // lat.m * lat.n == exp[1] - lifts[w2][1]
-                    if dx != 0:
-                        wrapped = True
-                else:
-                    lifts[w2] = exp
-                    seen[w2] = comp_idx
-                    queue.append(w2)
-                if w2 in (lo, hi):
-                    touches_bound = True
-        raw.append((frozenset(lifts), lifts, not wrapped, not touches_bound))
+        escapes.clear()
+        lifts, clashes = flood(w0, tuple(lat.face_of_weight(w0)), moves)
+        seen.update(lifts)
+        for _, w2, (ex, ey) in clashes:
+            dx = ex - lifts[w2][0]
+            if dx % lat.m or dx // lat.m * lat.n != ey - lifts[w2][1]:
+                raise AssertionError(f"lifts of weight {w2} differ by a non-period")
+        touches_bound = bool(escapes) or lo in lifts or hi in lifts
+        raw.append((frozenset(lifts), lifts, not clashes, not touches_bound))
     raw.sort(key=lambda r: (not r[3], min(r[0])))
     return [
         Component(
@@ -166,22 +195,23 @@ def components(cfg: Configuration, window: tuple[int, int] | None = None) -> lis
 
 
 def internal_elements(cfg: Configuration, comp: Component) -> InternalElements:
-    """Edges with both adjacent faces in the component, and vertices with all four."""
+    """Edges with both adjacent faces in the component, and vertices with all four.
+
+    The vertex 2w + alpha + beta has corners w, w + alpha, w + beta and
+    w + alpha + beta, so probing that one vertex per face finds them all.
+    """
     lat = cfg.lat
     a, b = lat.alpha, lat.beta
     ws = comp.weights
-    vert, horiz = set(), set()
+    vert, horiz, verts = [], [], []
     for w in ws:
-        if w + a in ws and not cfg.mult_mid2(1, 2 * w + a):
-            vert.add(2 * w + a)
+        if w + a in ws:
+            if not cfg.mult_mid2(1, 2 * w + a):
+                vert.append(2 * w + a)
+            if w + b in ws and w + a + b in ws:
+                verts.append(2 * w + a + b)
         if w + b in ws and not cfg.mult_mid2(2, 2 * w + b):
-            horiz.add(2 * w + b)
-    verts = set()
-    for w in ws:
-        for t in (2 * w + a + b, 2 * w - a + b, 2 * w + a - b, 2 * w - a - b):
-            corners = ((t - a - b) // 2, (t + a - b) // 2, (t - a + b) // 2, (t + a + b) // 2)
-            if all(c in ws for c in corners):
-                verts.add(t)
+            horiz.append(2 * w + b)
     return InternalElements(
         vertical=[lat.edge_of_mid2(VERTICAL, t) for t in sorted(vert)],
         horizontal=[lat.edge_of_mid2(HORIZONTAL, t) for t in sorted(horiz)],
@@ -249,54 +279,38 @@ def subcomponents(cfg: Configuration, comp: Component, ov: Overlay) -> list[Subc
     if bad:
         raise ValueError(f"eight-vertex property fails at {bad[:4]}")
     lat = cfg.lat
+    steps = lat.steps.values()
     sign_by_mid2 = {
         (1 if e.kind == VERTICAL else 2, lat.edge_mid2(e)): s for e, s in ov.signs.items()
     }
-    color: dict[int, int] = {}
-    piece: dict[int, int] = {}
-    npieces = 0
-    for w0 in comp.sorted_weights():
-        if w0 in color:
-            continue
-        color[w0] = 1  # provisional; normalized below
-        queue = deque([w0])
-        while queue:
-            w = queue.popleft()
-            for dw, i, _ in lat.steps.values():
-                s = sign_by_mid2.get((i, 2 * w + dw))
-                if s is None:
-                    continue  # not internal: supported or leaves the component
-                w2 = w + dw
-                c2 = color[w] * s
-                if w2 in color:
-                    if color[w2] != c2:
-                        raise ColoringConflictError(
-                            f"two-coloring conflict at weights {w}, {w2}")
-                else:
-                    color[w2] = c2
-                    queue.append(w2)
-    # group into pieces: transparent-edge flood inside each color class
-    for w0 in comp.sorted_weights():
-        if w0 in piece:
-            continue
-        piece_id = npieces
-        npieces += 1
-        piece[w0] = piece_id
-        queue = deque([w0])
-        while queue:
-            w = queue.popleft()
-            for dw, i, _ in lat.steps.values():
-                if sign_by_mid2.get((i, 2 * w + dw)) == 1 and (w + dw) not in piece:
-                    piece[w + dw] = piece_id
-                    queue.append(w + dw)
-    flip = color[comp.min_weight]
-    groups: dict[int, set[int]] = {}
-    for w, p in piece.items():
-        groups.setdefault(p, set()).add(w)
+
+    def color_moves(w, c):
+        for dw, i, _ in steps:
+            s = sign_by_mid2.get((i, 2 * w + dw))
+            if s is not None:  # None: supported, or leaves the component
+                yield w + dw, c * s
+
+    def piece_moves(w, p):
+        for dw, i, _ in steps:
+            if sign_by_mid2.get((i, 2 * w + dw)) == 1:
+                yield w + dw, p
+
+    # the component is connected through its internal edges, so one flood
+    # colors all of it
+    color, clashes = flood(comp.min_weight, 1, color_moves)
+    if clashes:
+        w, w2, _ = clashes[0]
+        raise ColoringConflictError(f"two-coloring conflict at weights {w}, {w2}")
+    # pieces: transparent-edge floods, met in increasing order of least weight
     out = []
-    for p in sorted(groups, key=lambda p: min(groups[p])):
-        ws = groups[p]
-        cols = {color[w] * flip for w in ws}
-        assert len(cols) == 1, "piece is not monochromatic"
-        out.append(Subcomponent(weights=frozenset(ws), color=cols.pop()))
+    seen: set[int] = set()
+    for w0 in comp.sorted_weights():
+        if w0 in seen:
+            continue
+        ws = frozenset(flood(w0, w0, piece_moves)[0])
+        seen |= ws
+        cols = {color[w] for w in ws}
+        if len(cols) != 1:
+            raise AssertionError(f"piece at weight {w0} is not monochromatic")
+        out.append(Subcomponent(weights=ws, color=cols.pop()))
     return out

@@ -15,8 +15,11 @@ Two ways to compute the signature of a finite component module:
   overlay edges and counting faces per color.
 
 Both must agree; their agreement is the central cross-validation of the
-whole construction.  A module is unitarizable iff one of the counts is 0,
-and five equivalent criteria for that are evaluated independently.
+whole construction.  Both serve the dagger involution too, which flips the
+sign of every edge: the direct route multiplies the global sign by the
+parity of the face's lift, the coloring route flips the overlay.  A module
+is unitarizable iff one of the counts is 0, and five equivalent criteria
+for that are evaluated independently.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ def _unit_block(lat) -> tuple[list[int], list[int]]:
     else:
         y0 = pow(m, -1, n)
     x0 = (m * y0 - 1) // n
+    if y0 * lat.beta + x0 * lat.alpha != 1:
+        raise AssertionError(f"unit block {x0} alpha + {y0} beta does not net +1")
     up = [2] * y0 + [1] * x0      # y0 steps of +beta then x0 of +alpha: net +1
     down = [-2] * y0 + [-1] * x0  # the reverse signs: net -1
     return up, down
@@ -52,25 +57,7 @@ def path_phase2(cfg: Configuration, steps) -> int:
     Each token +-1 or +-2 moves by +-alpha or +-beta and contributes the
     above-count of the crossed edge.  Only the parity is path independent.
     """
-    a, b = cfg.lat.alpha, cfg.lat.beta
-    w = 0
-    total = 0
-    for s in steps:
-        if s == 1:
-            total += cfg.count_above(1, 2 * w + a)
-            w += a
-        elif s == -1:
-            total += cfg.count_above(1, 2 * w - a)
-            w -= a
-        elif s == 2:
-            total += cfg.count_above(2, 2 * w + b)
-            w += b
-        elif s == -2:
-            total += cfg.count_above(2, 2 * w - b)
-            w -= b
-        else:
-            raise ValueError(f"signed step must be in {{1,-1,2,-2}}, got {s!r}")
-    return total
+    return sum(cfg.count_above(i, mid2) for i, mid2, _ in cfg.lat.walk(0, steps))
 
 
 class SignTable:
@@ -88,37 +75,14 @@ class SignTable:
         # extend the table from the nearest computed weight, unit by unit
         cur = max(x for x in self._signs if x < w) if w > 0 else min(self._signs)
         sign = self._signs[cur]
+        block = self._up if w > cur else self._down
+        walk, count_above = self.cfg.lat.walk, self.cfg.count_above
         while cur != w:
-            steps_phase = self._block_phase(cur, w > cur)
-            sign = sign if steps_phase % 2 == 0 else -sign
+            if sum(count_above(i, mid2) for i, mid2, _ in walk(cur, block)) % 2:
+                sign = -sign
             cur += 1 if w > cur else -1
             self._signs[cur] = sign
         return sign
-
-    def _block_phase(self, start: int, upward: bool) -> int:
-        a, b = self.cfg.lat.alpha, self.cfg.lat.beta
-        w = start
-        total = 0
-        for s in self._up if upward else self._down:
-            if s == 2:
-                total += self.cfg.count_above(2, 2 * w + b)
-                w += b
-            elif s == -2:
-                total += self.cfg.count_above(2, 2 * w - b)
-                w -= b
-            elif s == 1:
-                total += self.cfg.count_above(1, 2 * w + a)
-                w += a
-            else:
-                total += self.cfg.count_above(1, 2 * w - a)
-                w -= a
-        assert w == start + (1 if upward else -1)
-        return total
-
-
-def face_sign(cfg: Configuration, f, table: SignTable | None = None) -> int:
-    """Global sign of a face, via a fixed staircase from weight 0."""
-    return (table or SignTable(cfg)).sign(f)
 
 
 @dataclass
@@ -241,13 +205,33 @@ def adjoint_matrix(rep: ModuleRep, gen: str, table: SignTable | None = None) -> 
 
 
 def signature_direct(cfg: Configuration, comp: Component,
-                     table: SignTable | None = None) -> Signature:
-    """Counts of faces by global sign; unordered, returned sorted."""
+                     table: SignTable | None = None, involution: str = "star") -> Signature:
+    """Counts of faces by the involution's sign; unordered, returned sorted."""
     if not comp.finite:
         raise ValueError("signature of an infinite component; use signature_window")
-    table = table or SignTable(cfg)
-    pos = sum(1 for w in comp.weights if table.sign(w) > 0)
-    return tuple(sorted((pos, len(comp.weights) - pos)))
+    signs = _face_signs(cfg, comp, involution, table or SignTable(cfg))
+    pos = signs.count(1)
+    return tuple(sorted((pos, len(signs) - pos)))
+
+
+def _face_signs(cfg: Configuration, comp: Component, involution: str,
+                table: SignTable) -> list[int]:
+    """The sign of each face of the component under the involution.
+
+    The dagger rule flips every edge sign, one extra flip per step, and each
+    step changes x + y of the face's lift by one.  So the dagger sign is the
+    global sign times (-1)^(x + y) of the lift in ``comp.lifts``.  One turn
+    around the cylinder changes x + y by m + n, so on an incontractible
+    component with m + n odd no consistent dagger sign exists.
+    """
+    signs = [table.sign(w) for w in comp.weights]
+    if involution == "star":
+        return signs
+    if involution != "dagger":
+        raise ValueError(f"involution must be 'star' or 'dagger', got {involution!r}")
+    if not comp.contractible and (cfg.lat.m + cfg.lat.n) % 2:
+        raise ValueError("the flipped involution admits no consistent sign on this component")
+    return [-s if sum(comp.lifts[w]) % 2 else s for s, w in zip(signs, comp.weights)]
 
 
 def signature_window(cfg: Configuration, comp: Component, window: tuple[int, int],
@@ -311,7 +295,7 @@ def unitarizability_report(cfg: Configuration, comp: Component,
     sig = signature_coloring(cfg, comp, involution)
     cond_i = 0 in sig
 
-    cond_ii = _component_sign_constant(cfg, comp, flip)
+    cond_ii = len(set(_face_signs(cfg, comp, involution, SignTable(cfg)))) == 1
 
     vals = [cfg.poly_eval(i, lat.edge_mid2(e)) for i, e in internal]
     cond_iii = all((-v if flip else v) > 0 for v in vals)
@@ -326,40 +310,6 @@ def unitarizability_report(cfg: Configuration, comp: Component,
         raise AssertionError(f"unitarizability criteria disagree: {conditions}")
     return UnitarizabilityReport(component_id=comp.id, involution=involution,
                                  conditions=conditions, verdict=cond_i)
-
-
-def _component_sign_constant(cfg: Configuration, comp: Component, flip: bool) -> bool:
-    """Is the (possibly dagger-flipped) sign function constant on the component?
-
-    For the flipped rule the sign is rebuilt inside the component only; an
-    inconsistent flipped rule (possible on incontractible components with
-    odd period length) raises.
-    """
-    if not flip:
-        table = SignTable(cfg)
-        signs = {table.sign(w) for w in comp.weights}
-        return len(signs) == 1
-    from collections import deque
-
-    w0 = comp.min_weight
-    local = {w0: 1}
-    queue = deque([w0])
-    while queue:
-        w = queue.popleft()
-        for dw, i, _ in cfg.lat.steps.values():
-            if cfg.mult_mid2(i, 2 * w + dw) or (w + dw) not in comp.weights:
-                continue
-            parity = (cfg.count_above(i, 2 * w + dw) + 1) % 2
-            s = local[w] if parity == 0 else -local[w]
-            if w + dw in local:
-                if local[w + dw] != s:
-                    raise ValueError(
-                        "the flipped involution admits no consistent sign on this component"
-                    )
-            else:
-                local[w + dw] = s
-                queue.append(w + dw)
-    return len(set(local.values())) == 1
 
 
 def _geometric_count_above(cfg: Configuration, i: int, e: Edge) -> int:

@@ -116,6 +116,10 @@ def test_catalog_command(tmp_path, capsys):
                  "--out", str(out2)]) == 0
     lines1 = out1.read_text().splitlines()
     assert lines1 == out2.read_text().splitlines()  # deterministic given the seed
+    # a second run into the same file overwrites it
+    assert main(["catalog", "5", "2", "2", "--samples", "8", "--seed", "5",
+                 "--out", str(out1)]) == 0
+    assert out1.read_text().splitlines() == lines1
     for line in lines1:
         rec = json.loads(line)
         assert rec["m"] == 5 and rec["n"] == 2
@@ -123,14 +127,23 @@ def test_catalog_command(tmp_path, capsys):
         assert isinstance(rec["unitarizable"], bool)
 
 
-def test_signature_dagger_and_duplicate_display(tmp_path, capsys):
+def test_signature_dagger_and_duplicate_display(band_file, tmp_path, capsys):
+    assert main(["signature", band_file, "--component", "0"]) == 0
+    out = capsys.readouterr().out
+    # the star pair (2,2) must not collapse in display
+    assert "signature (direct):   {2, 2}" in out
+    assert "signature (coloring): {2, 2}" in out
     p = tmp_path / "dag.cfg"
     p.write_text(BAND4 + "involution dagger\n")
     assert main(["signature", str(p), "--component", "0"]) == 0
     out = capsys.readouterr().out
-    # the direct pair (2,2) must not collapse in display
-    assert "{2, 2}" in out and "{0, 4}" in out
+    assert "signature (direct):   {0, 4}" in out
+    assert "signature (coloring): {0, 4}" in out
     assert "unitarizable: True" in out
+    assert main(["signature", str(p), "--component", "0", "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["signature_direct"] == obj["signature_coloring"] == [0, 4]
+    assert obj["methods_agree"] and obj["pass"]
 
 
 def test_signature_window_for_infinite(ex2_file, capsys):

@@ -225,20 +225,6 @@ def test_mte_conclusive_at_high_multiplicity():
     assert broken.mte_violations("q") != []
 
 
-def test_root_value(example2):
-    e = Edge("V", 3, 2)
-    assert example2.root_value(1, e, 3) == (1, Fraction(24), 3)
-    # degree 2 carries the same data as the square root value
-    q = example2.sqrt_value(1, e)
-    phase, mag, _ = example2.root_value(1, e, 2)
-    assert (phase, mag) == (q.phase, (q.coeff ** 2) * q.root)
-    # degree 1 reproduces the sign law
-    phase1, mag1, _ = example2.root_value(1, e, 1)
-    assert (-1) ** phase1 * mag1 == example2.poly_eval(1, 6)
-    with pytest.raises(ValueError):
-        example2.root_value(1, e, 0)
-
-
 def test_max_area_path():
     assert max_area_path(Lattice(5, 2)).steps == "2211111"
     assert max_area_path(Lattice(1, 1)).steps == "21"

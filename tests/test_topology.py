@@ -132,9 +132,19 @@ def test_partition_eight_vertex_and_additivity(mn, k, seed):
     all_ws = sorted(w for c in comps for w in c.weights)
     assert all_ws == list(range(min(all_ws), max(all_ws) + 1))
     assert len(set(all_ws)) == len(all_ws)
+    lat = cfg.lat
+    a, b = lat.alpha, lat.beta
+    reach = 2 * (lat.m + lat.n)
+    first = 2 * min(all_ws) - reach
+    first += (first - a - b) % 2  # doubled vertex values have the parity of a + b
     for comp in comps:
         if not comp.finite:
             continue
+        # brute force: every vertex of the window whose four faces all lie in comp
+        scanned = [t for t in range(first, 2 * max(all_ws) + reach, 2)
+                   if all((t + sa * a + sb * b) // 2 in comp.weights
+                          for sa in (-1, 1) for sb in (-1, 1))]
+        assert [lat.vertex_val2(v) for v in internal_elements(cfg, comp).vertices] == scanned
         ov = overlay(cfg, comp)
         assert eight_vertex_violations(cfg, comp, ov) == []
         pieces = subcomponents(cfg, comp, ov)

@@ -2,16 +2,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import staircase_band
-from vertexmod.configuration import Configuration, random_config
+from vertexmod.configuration import Configuration, VertexPath, from_paths, random_config
 from vertexmod.lattice import Lattice
 from vertexmod.representation import build_module, casimir
-from vertexmod.topology import components
+from vertexmod.topology import ColoringConflictError, components, overlay, subcomponents
 from vertexmod.unitarity import (
     SignTable,
     adjoint_matrix,
     check_sign_consistency,
     dual_invariants,
-    face_sign,
     gram_diag,
     gram_matrix,
     path_phase2,
@@ -45,7 +44,7 @@ def test_face_sign(example2, lat52):
     assert table.sign(2) == 1
     assert table.sign(4) == -1
     empty = Configuration(lat52, {})
-    assert all(face_sign(empty, w) == 1 for w in range(-8, 9))
+    assert all(SignTable(empty).sign(w) == 1 for w in range(-8, 9))
 
 
 def test_sign_consistency_examples(example2, lat52):
@@ -199,6 +198,47 @@ def test_dagger_inconsistent_on_odd_period_band():
         pytest.skip("no incontractible finite component in this configuration")
     with pytest.raises(ValueError):
         unitarizability_report(cfg, bands[0], "dagger")
+
+
+def check_dagger_route(cfg) -> int:
+    """The lift-parity dagger sign against the dagger two-coloring, face by face.
+
+    Both must refuse exactly the incontractible components with m + n odd;
+    returns how many components were refused.
+    """
+    odd = (cfg.lat.m + cfg.lat.n) % 2
+    table = SignTable(cfg)
+    refused = 0
+    for comp in finite_comps(cfg):
+        if odd and not comp.contractible:
+            with pytest.raises(ColoringConflictError):
+                signature_coloring(cfg, comp, "dagger")
+            with pytest.raises(ValueError):
+                signature_direct(cfg, comp, table, "dagger")
+            refused += 1
+            continue
+        assert signature_direct(cfg, comp, table, "dagger") == \
+            signature_coloring(cfg, comp, "dagger")
+        pieces = subcomponents(cfg, comp, overlay(cfg, comp, "dagger"))
+        color = {w: p.color for p in pieces for w in p.weights}
+        signs = {w: table.sign(w) * (-1) ** sum(comp.lifts[w]) for w in comp.weights}
+        flip = signs[comp.min_weight]
+        assert all(signs[w] * flip == color[w] for w in comp.weights)
+    return refused
+
+
+@given(st.sampled_from([(1, 1), (2, 1), (3, 1), (1, 2), (3, 2), (5, 2), (4, 3), (5, 3)]),
+       st.integers(1, 3), st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_dagger_direct_route(mn, k, seed):
+    check_dagger_route(random_config(Lattice(*mn), k, seed))
+
+
+def test_dagger_direct_route_odd_bands():
+    for mn, paths in (((2, 1), [((0, 1), "112"), ((0, 3), "112")]),
+                      ((3, 2), [((0, 0), "11122"), ((0, 3), "11122")])):
+        cfg = from_paths(Lattice(*mn), [VertexPath(s, w) for s, w in paths])
+        assert check_dagger_route(cfg) >= 1
 
 
 @given(lattices, st.integers(1, 3), st.integers(0, 10**6))
