@@ -164,7 +164,7 @@ def cmd_signature(args) -> int:
         window = tuple(args.window) if args.window else None
         if window is None:
             raise CliError("infinite component: pass --window A B for partial counts")
-        sig, partial = signature_window(cfg, comp, window)
+        sig, partial = signature_window(cfg, comp, window, involution=cf.involution)
         obj = {
             "command": "signature",
             "component": comp.id,

@@ -160,7 +160,8 @@ class Lattice:
         else:
             x = (-w * pow(self.n, -1, self.m)) % self.m
         y = (w + self.n * x) // self.m
-        assert x * self.alpha + y * self.beta == w
+        if x * self.alpha + y * self.beta != w:
+            raise AssertionError(f"face ({x}, {y}) does not have weight {w}")
         return Face(x, y)
 
     def edge_of_mid2(self, kind: str, mid2: int) -> Edge:

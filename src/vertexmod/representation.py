@@ -25,10 +25,11 @@ operator divided by its order polynomial.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 from .configuration import Configuration
 from .lattice import Face
@@ -291,22 +292,26 @@ def path_poly_product(cfg: Configuration, steps: str, w) -> Fraction:
 
 
 def order_support(cfg: Configuration, word: str) -> dict[int, int]:
-    """All weights with positive loop order for the word, with their orders."""
-    offs = {1: [], 2: []}
-    for i, mid2, _ in cfg.lat.walk(0, word):
-        offs[i].append(mid2)
-    cands = set()
-    for i in (1, 2):
-        for e2 in cfg.poly_roots(i):
-            for off in offs[i]:
-                if (e2 - off) % 2 == 0:
-                    cands.add((e2 - off) // 2)
-    out = {}
-    for lam in sorted(cands):
-        o = crossing_order(cfg, word, lam)
-        if o:
-            out[lam] = o
-    return out
+    """All weights with positive loop order for the word, with their orders.
+
+    The loop from weight lam crosses the orientation-i edge at doubled
+    midpoint 2*lam + off for every offset off that the loop from weight 0
+    crosses.  So each supported edge at e2 adds one crossing per unit of
+    multiplicity at lam = (e2 - off)/2.  Vertical and horizontal crossings
+    are counted apart, and as in ``crossing_order`` their agreement is
+    asserted.
+    """
+    if word.count("1") != cfg.lat.m or word.count("2") != cfg.lat.n:
+        raise ValueError(f"word {word!r} is not balanced for {(cfg.lat.m, cfg.lat.n)}")
+    counts = {1: Counter(), 2: Counter()}
+    roots = {i: cfg.poly_roots(i) for i in (1, 2)}
+    for i, off, _ in cfg.lat.walk(0, word):
+        counts[i].update((e2 - off) // 2 for e2 in roots[i] if (e2 - off) % 2 == 0)
+    vert, horiz = counts[1], counts[2]
+    if vert != horiz:
+        lam = min(lam for lam in vert.keys() | horiz.keys() if vert[lam] != horiz[lam])
+        raise AssertionError(f"vertical/horizontal crossing counts differ at {lam}")
+    return dict(sorted(vert.items()))
 
 
 def order_product(cfg: Configuration, word: str, mu: int,
@@ -404,39 +409,47 @@ class CasimirResult:
 def casimir(rep: ModuleRep, word: str) -> CasimirResult:
     """Casimir scalar on the module, extracted from one balanced word.
 
-    The loop operator divided by its order polynomial acts as a scalar.  A
-    basis face is determinate for the word when the face loop from it stays
-    inside the basis crossing only unsupported edges; on such faces the
-    ratio is computed and must agree.  Faces whose loop meets the support
-    are zero over zero for this word and are reported indeterminate (the
-    scalar is word independent, so another word can certify them).  On a
-    contractible component the loop operator vanishes and the scalar is 0.
+    The loop operator divided by its order polynomial acts as a scalar.  It
+    is computed in integers by one walk per basis face along its column
+    chain through X1+ and X2+, in word order, folding roots by their gcd as
+    ``Radical`` products do.  The chain is nonzero exactly when the face
+    loop stays inside the basis crossing only unsupported edges: such a
+    face is determinate, and the ratios on those faces must agree.  Faces
+    whose loop meets the support are zero over zero for this word and are
+    reported indeterminate (the scalar is word independent, so another word
+    can certify them).  On a contractible component the loop operator
+    vanishes and the scalar is 0.
     """
     cfg = rep.cfg
-    mat = loop_matrix(rep, word)
-    if not mat.is_diagonal():
-        raise AssertionError("balanced loop operator is not diagonal")
     support = order_support(cfg, word)
-    determinate, indeterminate = [], []
-    scalars = {}
+    cols = {}
+    for c in "12":
+        cols[c] = [col and (col[0], col[1].xi_exp, col[1].phase, col[1].coeff.numerator,
+                            col[1].coeff.denominator, col[1].root)
+                   for col in rep.matrix(f"X{c}+").cols]
+    chain = [cols[c] for c in word]
+    determinate, indeterminate, scalars = [], [], set()
     for j, w in enumerate(rep.weights):
-        ok = not any(cfg.mult_mid2(i, mid2) or (cur != w and not rep.in_basis(cur))
-                     for i, mid2, cur in cfg.lat.walk(w, word))
-        if not ok:
-            indeterminate.append(w)
-            continue
-        determinate.append(w)
-        scalars[w] = mat.entry(j, j).times_rational(1 / order_product(cfg, word, w, support))
-    if rep.comp.contractible:
-        if not mat.is_zero:
-            raise AssertionError("loop operator does not vanish on a contractible component")
-        return CasimirResult(word=word, scalar=Radical.zero(),
-                             determinate=determinate, indeterminate=indeterminate)
-    if not scalars:
-        return CasimirResult(word=word, scalar=None, determinate=[],
-                             indeterminate=indeterminate)
-    vals = set(scalars.values())
-    if len(vals) != 1:
-        raise AssertionError(f"casimir ratio is not scalar: {sorted(str(v) for v in vals)}")
-    return CasimirResult(word=word, scalar=vals.pop(),
-                         determinate=determinate, indeterminate=indeterminate)
+        r, k, phase, num, den, root = j, 0, 0, 1, 1, 1
+        for col in chain:
+            if col[r] is None:
+                indeterminate.append(w)
+                break
+            r, dk, dphase, dnum, dden, droot = col[r]
+            g = gcd(root, droot)
+            k, phase, num, den = k + dk, phase + dphase, num * dnum * g, den * dden
+            root = (root // g) * (droot // g)
+        else:
+            if r != j:
+                raise AssertionError("balanced loop operator is not diagonal")
+            determinate.append(w)
+            op = order_product(cfg, word, w, support).numerator
+            phase += 2 if op < 0 else 0
+            scalars.add(Radical(k, phase % 4, Fraction(num, den * abs(op)), root))
+    if rep.comp.contractible and determinate:
+        raise AssertionError("loop operator does not vanish on a contractible component")
+    if len(scalars) > 1:
+        raise AssertionError(f"casimir ratio is not scalar: {sorted(str(v) for v in scalars)}")
+    scalar = Radical.zero() if rep.comp.contractible else next(iter(scalars), None)
+    return CasimirResult(word=word, scalar=scalar, determinate=determinate,
+                         indeterminate=indeterminate)

@@ -237,7 +237,8 @@ def overlay(cfg: Configuration, comp: Component, involution: str = "star") -> Ov
                 raise AssertionError(f"internal edge {e} has vanishing edge polynomial")
             s = 1 if val > 0 else -1
             parity_sign = -1 if cfg.count_above(i, e) % 2 else 1
-            assert s == parity_sign, f"sign law fails at {e}"
+            if s != parity_sign:
+                raise AssertionError(f"sign law fails at {e}")
             signs[e] = -s if involution == "dagger" else s
     return Overlay(component_id=comp.id, involution=involution, signs=signs)
 

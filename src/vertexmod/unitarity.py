@@ -235,12 +235,13 @@ def _face_signs(cfg: Configuration, comp: Component, involution: str,
 
 
 def signature_window(cfg: Configuration, comp: Component, window: tuple[int, int],
-                     table: SignTable | None = None) -> tuple[Signature, bool]:
-    """Window-restricted sign counts; the flag marks the result partial."""
-    table = table or SignTable(cfg)
-    ws = [w for w in comp.weights if window[0] <= w <= window[1]]
-    pos = sum(1 for w in ws if table.sign(w) > 0)
-    return tuple(sorted((pos, len(ws) - pos))), not comp.finite
+                     table: SignTable | None = None,
+                     involution: str = "star") -> tuple[Signature, bool]:
+    """Window-restricted face counts by the involution's sign; the flag marks them partial."""
+    signs = _face_signs(cfg, comp, involution, table or SignTable(cfg))
+    inside = [s for s, w in zip(signs, comp.weights) if window[0] <= w <= window[1]]
+    pos = inside.count(1)
+    return tuple(sorted((pos, len(inside) - pos))), not comp.finite
 
 
 def signature_coloring(cfg: Configuration, comp: Component,

@@ -154,6 +154,16 @@ def test_signature_window_for_infinite(ex2_file, capsys):
     assert obj["partial"] and sum(obj["signature_window"]) == 7
 
 
+def test_signature_window_follows_involution(band_file, tmp_path, capsys):
+    # below the band the dagger signs alternate where the star signs do not
+    p = tmp_path / "dag.cfg"
+    p.write_text(BAND4 + "involution dagger\n")
+    assert main(["signature", str(p), "--component", "1", "--window", "-8", "0"]) == 0
+    assert "component 1: window sign counts {2, 3} (partial)" in capsys.readouterr().out
+    assert main(["signature", band_file, "--component", "1", "--window", "-8", "0"]) == 0
+    assert "component 1: window sign counts {0, 5} (partial)" in capsys.readouterr().out
+
+
 def test_usage_error():
     assert main(["module"]) == 2
     assert main([]) == 2

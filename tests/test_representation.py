@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import staircase_band
-from vertexmod.configuration import Configuration, random_config
-from vertexmod.lattice import Lattice
+from vertexmod.configuration import Configuration, from_edges, random_config
+from vertexmod.lattice import Edge, Lattice
 from vertexmod.linalg import MonomialMat
 from vertexmod.representation import (
     balanced_words,
@@ -15,6 +15,7 @@ from vertexmod.representation import (
     crossing_order,
     loop_matrix,
     order_product,
+    order_support,
     path_poly_product,
     path_sqrt_product,
     verify_relations,
@@ -25,6 +26,7 @@ from vertexmod.topology import components
 from vertexmod.unitarity import gram_matrix
 
 lattices = st.sampled_from([(1, 1), (2, 1), (3, 2), (5, 2)])
+wide_lattices = st.sampled_from([(3, 2), (5, 2), (5, 3), (4, 3)])
 
 
 def finite_comps(cfg):
@@ -148,6 +150,33 @@ def test_order_product_identity(mn, k, seed):
         assert report.identity_ok, report.identity_failures[:3] + report.crossing_failures[:3]
 
 
+@given(wide_lattices, st.integers(0, 3), st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_order_support_matches_crossing_scan(mn, k, seed):
+    # every loop stays within m*n of its start, and m*n < 2(m+n) on these lattices
+    cfg = random_config(Lattice(*mn), k, seed)
+    lo, hi = cfg.support_mid2_range() or (0, 0)
+    margin = 2 * sum(mn)
+    for word in balanced_words(*mn):
+        scan = {lam: crossing_order(cfg, word, lam)
+                for lam in range(lo // 2 - margin, hi // 2 + margin + 1)}
+        support = order_support(cfg, word)
+        assert support == {lam: o for lam, o in scan.items() if o}
+        assert list(support) == sorted(support)
+
+
+def test_order_support_rejects_unequal_crossings(lat52):
+    # a lone vertical edge at doubled midpoint 0: the loops from weights
+    # 1..5 cross it, and none crosses a horizontal edge; the least is named
+    cfg = from_edges(lat52, [(Edge("V", 2, 1), 1)])
+    with pytest.raises(AssertionError, match="crossing counts differ at 1$"):
+        order_support(cfg, "1112112")
+    with pytest.raises(AssertionError, match="crossing counts differ at 1$"):
+        crossing_order(cfg, "1112112", 1)
+    with pytest.raises(ValueError):
+        order_support(cfg, "111211")
+
+
 def test_order_product_sign_clause_not_a_theorem(example1_d4):
     # the signed identity holds, but the common value can be negative; the
     # canonical counterexample sits inside the width-4 band
@@ -246,8 +275,7 @@ def _is_power_of_two(d: int) -> bool:
     return d & (d - 1) == 0
 
 
-@given(st.sampled_from([(3, 2), (5, 2), (5, 3), (4, 3)]), st.integers(0, 3),
-       st.integers(0, 10**6))
+@given(wide_lattices, st.integers(0, 3), st.integers(0, 10**6))
 @settings(max_examples=30, deadline=None)
 def test_coefficients_have_power_of_two_denominators(mn, k, seed):
     # every Radical the package builds from edge values has coeff = a / 2^b
@@ -265,3 +293,31 @@ def test_coefficients_have_power_of_two_denominators(mn, k, seed):
                 values.append(scalar)
     bad = [str(v) for v in values if not _is_power_of_two(v.coeff.denominator)]
     assert not bad, bad[:5]
+
+
+@given(wide_lattices, st.integers(0, 3), st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_casimir_matches_loop_matrix(mn, k, seed):
+    # the integer column walk against the MonomialMat loop operator, and its
+    # determinate faces against the face-path walk over the configuration
+    cfg = random_config(Lattice(*mn), k, seed)
+    for comp in components(cfg):
+        rep = build_module(cfg, comp, comp.window)
+        for word in balanced_words(*mn):
+            res = casimir(rep, word)
+            mat = loop_matrix(rep, word)
+            assert mat.is_diagonal()
+            diag = {w: mat.entry(j, j) for j, w in enumerate(rep.weights)}
+            determinate = [w for w in rep.weights if not diag[w].is_zero]
+            walked = [w for w in rep.weights
+                      if not any(cfg.mult_mid2(i, mid2) or not rep.in_basis(cur)
+                                 for i, mid2, cur in cfg.lat.walk(w, word))]
+            assert res.determinate == determinate == walked
+            assert res.indeterminate == [w for w in rep.weights if diag[w].is_zero]
+            ratios = {diag[w].times_rational(1 / order_product(cfg, word, w))
+                      for w in determinate}
+            assert len(ratios) <= 1
+            if comp.contractible:
+                assert not ratios and res.scalar == Radical.zero()
+            else:
+                assert res.scalar == (ratios.pop() if ratios else None)
