@@ -21,7 +21,6 @@ from .topology import components
 from .unitarity import (
     SignTable,
     dual_invariants,
-    signature_coloring,
     signature_direct,
     signature_window,
     unitarizability_report,
@@ -174,9 +173,9 @@ def cmd_signature(args) -> int:
         _emit(args, obj, f"component {comp.id}: window sign counts {_sig(sig)} (partial)")
         return PASS
     direct = signature_direct(cfg, comp, involution=cf.involution)
-    coloring = signature_coloring(cfg, comp, cf.involution)
-    agree = direct == coloring
     unit = unitarizability_report(cfg, comp, cf.involution)
+    coloring = unit.coloring
+    agree = direct == coloring
     dual = dual_invariants(comp, cf.xi)
     ok = agree and unit.agree
     obj = {
@@ -277,12 +276,11 @@ def cmd_catalog(args) -> int:
                 if not c.finite:
                     continue
                 direct = signature_direct(cfg, c, table)
-                coloring = signature_coloring(cfg, c)
-                if direct != coloring:
+                unit = unitarizability_report(cfg, c)
+                if direct != unit.coloring:
                     raise CliError(
                         f"signature methods disagree on sample {sample}", code=FAIL
                     )
-                unit = unitarizability_report(cfg, c)
                 record = {
                     "m": args.m,
                     "n": args.n,

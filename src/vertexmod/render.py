@@ -11,47 +11,44 @@ boundary columns show the wraparound, figure style.
 from __future__ import annotations
 
 from .configuration import Configuration
-from .lattice import VERTICAL
+from .lattice import HORIZONTAL, VERTICAL
 from .topology import Component, overlay, subcomponents
+
+
+def _strip_positions(lat, x: int, y: int, vertical: bool = False) -> list[tuple[int, int]]:
+    """Where the canonical item at (x, y) is drawn in the strip 0..m.
+
+    A vertical edge sits on column x; a horizontal edge or a face spans
+    columns x - 1..x, so at x = 0 it lies left of the strip and is drawn
+    only through its translate (m, y + n).  A vertical edge at x = 0 is
+    drawn at both.
+    """
+    if x:
+        return [(x, y)]
+    shifted = (lat.m, y + lat.n)
+    return [(x, y), shifted] if vertical else [shifted]
 
 
 def _strip_items(cfg: Configuration, comp: Component | None, involution: str):
     """Edges, overlay edges and colored faces placed into the strip 0..m."""
     lat = cfg.lat
-    m, n = lat.m, lat.n
     vedges, hedges = {}, {}
     for e, k in cfg.edges.items():
-        if e.kind == VERTICAL:
-            vedges[(e.x, e.y)] = k
-            if e.x == 0:
-                vedges[(m, e.y + n)] = k
-        else:
-            if e.x == 0:
-                hedges[(m, e.y + n)] = k
-            else:
-                hedges[(e.x, e.y)] = k
+        vertical = e.kind == VERTICAL
+        for pos in _strip_positions(lat, e.x, e.y, vertical):
+            (vedges if vertical else hedges)[pos] = k
     red_v, red_h = set(), set()
     faces = {}
     if comp is not None:
         ov = overlay(cfg, comp, involution)
-        for e, s in ov.signs.items():
-            if s >= 0:
-                continue
-            if e.kind == VERTICAL:
-                red_v.add((e.x, e.y))
-                if e.x == 0:
-                    red_v.add((m, e.y + n))
-            else:
-                if e.x == 0:
-                    red_h.add((m, e.y + n))
-                else:
-                    red_h.add((e.x, e.y))
+        for i, mid2 in ov.red_edges():
+            vertical = i == 1
+            e = lat.edge_of_mid2(VERTICAL if vertical else HORIZONTAL, mid2)
+            (red_v if vertical else red_h).update(_strip_positions(lat, e.x, e.y, vertical))
         for piece in subcomponents(cfg, comp, ov):
             for w in piece.weights:
-                x, y = lat.face_of_weight(w)
-                if x == 0:
-                    x, y = m, y + n
-                faces[(x, y)] = (piece.color, w)
+                for pos in _strip_positions(lat, *lat.face_of_weight(w)):
+                    faces[pos] = (piece.color, w)
     return vedges, hedges, red_v, red_h, faces
 
 

@@ -35,7 +35,7 @@ from .configuration import Configuration
 from .lattice import Face
 from .linalg import MonomialMat
 from .scalar import Radical
-from .topology import Component, flood, lift_moves
+from .topology import Component, window_flood
 
 GENERATORS = ("X1+", "X1-", "X2+", "X2-")
 
@@ -113,7 +113,7 @@ def build_module(cfg: Configuration, comp: Component, window: tuple[int, int] | 
         if window is None:
             raise ValueError("an infinite component needs an explicit weight window")
         lo, hi = window
-        basis, lifts = _window_flood(cfg, comp, lo, hi)
+        basis, lifts = window_flood(cfg, comp, lo, hi)
         if not basis:
             raise ValueError(f"window {window} does not meet component {comp.id}")
     lat = cfg.lat
@@ -143,16 +143,6 @@ def build_module(cfg: Configuration, comp: Component, window: tuple[int, int] | 
             mats[gen][(idx[w2], idx[w])] = entry
     return ModuleRep(cfg=cfg, comp=comp, weights=basis, lifts=lifts,
                      mats=mats, window=None if comp.finite else window)
-
-
-def _window_flood(cfg, comp, lo, hi):
-    """Component faces inside [lo, hi], lifted consistently with comp.lifts."""
-    moves = lift_moves(cfg, lo, hi, [])
-    lifts: dict[int, tuple[int, int]] = {}
-    for s in sorted(w for w in comp.weights if lo <= w <= hi):
-        if s not in lifts:
-            lifts.update(flood(s, comp.lifts[s], moves)[0])
-    return sorted(lifts), lifts
 
 
 # -- relation verification ----------------------------------------------------

@@ -12,15 +12,18 @@ are consistent along the fill tree, so within a contractible component no
 step ever picks up a winding factor.
 
 Finite components are enumerated completely.  Infinite ones are represented
-by the faces inside an enumeration window plus a complement predicate; a
-configuration with nonempty support always leaves exactly two of them (the
-two ends of the cylinder).
+by the faces inside an enumeration window; a configuration with nonempty
+support always leaves exactly two of them (the two ends of the cylinder).
 
 On a component, each internal edge (both adjacent faces inside) carries the
 sign of the corresponding edge polynomial.  Negative edges ("red") form an
 overlay in which every internal vertex has even red degree, the eight-vertex
 property.  Cutting along red edges and two-coloring the resulting
-subcomponents is the combinatorial route to inner product signatures.
+subcomponents is the combinatorial route to inner product signatures.  The
+overlay keys an edge by (orientation, doubled midpoint), as
+:class:`~vertexmod.configuration.Configuration` does, and a vertex by its
+doubled value; :class:`~vertexmod.lattice.Edge` and
+:class:`~vertexmod.lattice.Vertex` are built only for display.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .configuration import Configuration
-from .lattice import HORIZONTAL, VERTICAL, Edge, Face, Vertex
+from .lattice import Face, Vertex
 
 
 class ColoringConflictError(ValueError):
@@ -71,29 +74,25 @@ class Component:
 class Overlay:
     """Sign pattern of the edge polynomials on a component's internal edges.
 
-    sign -1 is drawn red; +1 is transparent.  The dagger involution flips
-    every sign.
+    ``signs`` maps (orientation, doubled midpoint) of each internal edge to
+    its sign: -1 is drawn red, +1 is transparent.  The dagger involution
+    flips every sign.  ``vertices`` lists the doubled values of the internal
+    vertices (all four faces around them in the component), ascending.
     """
 
     component_id: int
     involution: str
-    signs: dict[Edge, int]
+    signs: dict[tuple[int, int], int]
+    vertices: list[int]
 
-    def red_edges(self) -> list[Edge]:
-        return sorted(e for e, s in self.signs.items() if s < 0)
+    def red_edges(self) -> list[tuple[int, int]]:
+        return sorted(key for key, s in self.signs.items() if s < 0)
 
 
 @dataclass(frozen=True)
 class Subcomponent:
     weights: frozenset[int]
     color: int  # +1 or -1
-
-
-@dataclass(frozen=True)
-class InternalElements:
-    vertical: list[Edge]
-    horizontal: list[Edge]
-    vertices: list[Vertex]
 
 
 def default_window(cfg: Configuration) -> tuple[int, int]:
@@ -194,75 +193,67 @@ def components(cfg: Configuration, window: tuple[int, int] | None = None) -> lis
     ]
 
 
-def internal_elements(cfg: Configuration, comp: Component) -> InternalElements:
-    """Edges with both adjacent faces in the component, and vertices with all four.
+def window_flood(cfg: Configuration, comp: Component, lo: int, hi: int):
+    """Component faces inside [lo, hi], lifted consistently with comp.lifts.
 
-    The vertex 2w + alpha + beta has corners w, w + alpha, w + beta and
-    w + alpha + beta, so probing that one vertex per face finds them all.
+    Returns the sorted weights and their lifts.
     """
-    lat = cfg.lat
-    a, b = lat.alpha, lat.beta
-    ws = comp.weights
-    vert, horiz, verts = [], [], []
-    for w in ws:
-        if w + a in ws:
-            if not cfg.mult_mid2(1, 2 * w + a):
-                vert.append(2 * w + a)
-            if w + b in ws and w + a + b in ws:
-                verts.append(2 * w + a + b)
-        if w + b in ws and not cfg.mult_mid2(2, 2 * w + b):
-            horiz.append(2 * w + b)
-    return InternalElements(
-        vertical=[lat.edge_of_mid2(VERTICAL, t) for t in sorted(vert)],
-        horizontal=[lat.edge_of_mid2(HORIZONTAL, t) for t in sorted(horiz)],
-        vertices=[lat.vertex_of_val2(t) for t in sorted(verts)],
-    )
+    moves = lift_moves(cfg, lo, hi, [])
+    lifts: dict[int, tuple[int, int]] = {}
+    for s in sorted(w for w in comp.weights if lo <= w <= hi):
+        if s not in lifts:
+            lifts.update(flood(s, comp.lifts[s], moves)[0])
+    return sorted(lifts), lifts
 
 
 def overlay(cfg: Configuration, comp: Component, involution: str = "star") -> Overlay:
     """Edge polynomial signs on the internal edges, cross-checked two ways.
 
     The sign of P_i at an unsupported edge equals (-1)^(count above); both
-    computations are performed and must agree.
+    computations are performed and must agree.  The vertex 2w + alpha + beta
+    has corners w, w + alpha, w + beta and w + alpha + beta, so probing that
+    one vertex per face finds every internal vertex.
     """
     if involution not in ("star", "dagger"):
         raise ValueError(f"involution must be 'star' or 'dagger', got {involution!r}")
-    lat = cfg.lat
-    elems = internal_elements(cfg, comp)
-    signs: dict[Edge, int] = {}
-    for i, edges in ((1, elems.vertical), (2, elems.horizontal)):
-        for e in edges:
-            val = cfg.poly_eval(i, lat.edge_mid2(e))
-            if val == 0:
-                raise AssertionError(f"internal edge {e} has vanishing edge polynomial")
-            s = 1 if val > 0 else -1
-            parity_sign = -1 if cfg.count_above(i, e) % 2 else 1
-            if s != parity_sign:
-                raise AssertionError(f"sign law fails at {e}")
-            signs[e] = -s if involution == "dagger" else s
-    return Overlay(component_id=comp.id, involution=involution, signs=signs)
+    a, b = cfg.lat.alpha, cfg.lat.beta
+    ws = comp.weights
+    keys, vertices = [], []
+    for w in ws:
+        if w + a in ws:
+            if not cfg.mult_mid2(1, 2 * w + a):
+                keys.append((1, 2 * w + a))
+            if w + b in ws and w + a + b in ws:
+                vertices.append(2 * w + a + b)
+        if w + b in ws and not cfg.mult_mid2(2, 2 * w + b):
+            keys.append((2, 2 * w + b))
+    signs: dict[tuple[int, int], int] = {}
+    for i, mid2 in sorted(keys):
+        val = cfg.poly_eval(i, mid2)
+        if val == 0:
+            raise AssertionError(f"internal edge {(i, mid2)} has vanishing edge polynomial")
+        s = 1 if val > 0 else -1
+        if s != (-1 if cfg.count_above(i, mid2) % 2 else 1):
+            raise AssertionError(f"sign law fails at edge {(i, mid2)}")
+        signs[i, mid2] = -s if involution == "dagger" else s
+    return Overlay(component_id=comp.id, involution=involution, signs=signs,
+                   vertices=sorted(vertices))
 
 
 def eight_vertex_violations(cfg: Configuration, comp: Component, ov: Overlay) -> list[Vertex]:
     """Internal vertices with an odd number of incident red edges."""
-    lat = cfg.lat
-    a, b = lat.alpha, lat.beta
-    sign_by_mid2 = {
-        (1 if e.kind == VERTICAL else 2, lat.edge_mid2(e)): s for e, s in ov.signs.items()
-    }
+    a, b = cfg.lat.alpha, cfg.lat.beta
     bad = []
-    for v in internal_elements(cfg, comp).vertices:
-        t = lat.vertex_val2(v)
-        incident = [(1, t + b), (1, t - b), (2, t + a), (2, t - a)]
+    for t in ov.vertices:
         reds = 0
-        for key in incident:
-            s = sign_by_mid2.get(key)
+        for key in ((1, t + b), (1, t - b), (2, t + a), (2, t - a)):
+            s = ov.signs.get(key)
             if s is None:
-                raise AssertionError(f"edge {key} at internal vertex {v} is not internal")
+                raise AssertionError(f"edge {key} at internal vertex {t} (doubled) is not internal")
             if s < 0:
                 reds += 1
         if reds % 2:
-            bad.append(v)
+            bad.append(cfg.lat.vertex_of_val2(t))
     return bad
 
 
@@ -279,21 +270,18 @@ def subcomponents(cfg: Configuration, comp: Component, ov: Overlay) -> list[Subc
     bad = eight_vertex_violations(cfg, comp, ov)
     if bad:
         raise ValueError(f"eight-vertex property fails at {bad[:4]}")
-    lat = cfg.lat
-    steps = lat.steps.values()
-    sign_by_mid2 = {
-        (1 if e.kind == VERTICAL else 2, lat.edge_mid2(e)): s for e, s in ov.signs.items()
-    }
+    steps = cfg.lat.steps.values()
+    signs = ov.signs
 
     def color_moves(w, c):
         for dw, i, _ in steps:
-            s = sign_by_mid2.get((i, 2 * w + dw))
+            s = signs.get((i, 2 * w + dw))
             if s is not None:  # None: supported, or leaves the component
                 yield w + dw, c * s
 
     def piece_moves(w, p):
         for dw, i, _ in steps:
-            if sign_by_mid2.get((i, 2 * w + dw)) == 1:
+            if signs.get((i, 2 * w + dw)) == 1:
                 yield w + dw, p
 
     # the component is connected through its internal edges, so one flood

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .configuration import Configuration
-from .lattice import Edge, Vertex
+from .lattice import HORIZONTAL, VERTICAL, Edge, Vertex
 from .linalg import MonomialMat
 from .representation import ModuleRep
-from .topology import Component, overlay, subcomponents
+from .topology import Component, overlay, subcomponents, window_flood
 
 Signature = tuple[int, int]  # unordered pair, stored sorted ascending
 
@@ -209,39 +209,42 @@ def signature_direct(cfg: Configuration, comp: Component,
     """Counts of faces by the involution's sign; unordered, returned sorted."""
     if not comp.finite:
         raise ValueError("signature of an infinite component; use signature_window")
-    signs = _face_signs(cfg, comp, involution, table or SignTable(cfg))
+    signs = _face_signs(cfg, comp, comp.lifts, involution, table or SignTable(cfg))
     pos = signs.count(1)
     return tuple(sorted((pos, len(signs) - pos)))
 
 
-def _face_signs(cfg: Configuration, comp: Component, involution: str,
-                table: SignTable) -> list[int]:
-    """The sign of each face of the component under the involution.
+def _face_signs(cfg: Configuration, comp: Component, lifts: dict[int, tuple[int, int]],
+                involution: str, table: SignTable) -> list[int]:
+    """The sign under the involution of each face of the component in ``lifts``.
 
     The dagger rule flips every edge sign, one extra flip per step, and each
     step changes x + y of the face's lift by one.  So the dagger sign is the
-    global sign times (-1)^(x + y) of the lift in ``comp.lifts``.  One turn
-    around the cylinder changes x + y by m + n, so on an incontractible
-    component with m + n odd no consistent dagger sign exists.
+    global sign times (-1)^(x + y) of its lift.  One turn around the
+    cylinder changes x + y by m + n, so on an incontractible component with
+    m + n odd no consistent dagger sign exists.
     """
-    signs = [table.sign(w) for w in comp.weights]
     if involution == "star":
-        return signs
+        return [table.sign(w) for w in lifts]
     if involution != "dagger":
         raise ValueError(f"involution must be 'star' or 'dagger', got {involution!r}")
     if not comp.contractible and (cfg.lat.m + cfg.lat.n) % 2:
         raise ValueError("the flipped involution admits no consistent sign on this component")
-    return [-s if sum(comp.lifts[w]) % 2 else s for s, w in zip(signs, comp.weights)]
+    return [(-1 if (x + y) % 2 else 1) * table.sign(w) for w, (x, y) in lifts.items()]
 
 
 def signature_window(cfg: Configuration, comp: Component, window: tuple[int, int],
                      table: SignTable | None = None,
                      involution: str = "star") -> tuple[Signature, bool]:
-    """Window-restricted face counts by the involution's sign; the flag marks them partial."""
-    signs = _face_signs(cfg, comp, involution, table or SignTable(cfg))
-    inside = [s for s, w in zip(signs, comp.weights) if window[0] <= w <= window[1]]
-    pos = inside.count(1)
-    return tuple(sorted((pos, len(inside) - pos))), not comp.finite
+    """Face counts by the involution's sign over the component's faces in the window.
+
+    The faces are those of the window fill that ``build_module`` uses; the
+    flag marks the counts partial (an infinite component).
+    """
+    _, lifts = window_flood(cfg, comp, *window)
+    signs = _face_signs(cfg, comp, lifts, involution, table or SignTable(cfg))
+    pos = signs.count(1)
+    return tuple(sorted((pos, len(signs) - pos))), not comp.finite
 
 
 def signature_coloring(cfg: Configuration, comp: Component,
@@ -253,8 +256,10 @@ def signature_coloring(cfg: Configuration, comp: Component,
     """
     if not comp.finite:
         raise ValueError("coloring signature needs a finite component")
-    ov = overlay(cfg, comp, involution)
-    pieces = subcomponents(cfg, comp, ov)
+    return _coloring_counts(subcomponents(cfg, comp, overlay(cfg, comp, involution)))
+
+
+def _coloring_counts(pieces) -> Signature:
     pos = sum(len(p.weights) for p in pieces if p.color > 0)
     neg = sum(len(p.weights) for p in pieces if p.color < 0)
     return tuple(sorted((pos, neg)))
@@ -269,6 +274,7 @@ class UnitarizabilityReport:
     involution: str
     conditions: dict[str, bool]
     verdict: bool
+    coloring: Signature
 
     @property
     def agree(self) -> bool:
@@ -283,34 +289,35 @@ def unitarizability_report(cfg: Configuration, comp: Component,
     the component; (iii) positive edge polynomial on every internal edge;
     (iv) even above-counts there; (v) the geometric slope-line count,
     recomputed by brute force over drawn midpoints.  All five must agree.
+    The report also carries the coloring signature.
     """
-    from .topology import internal_elements
-
     if not comp.finite:
         raise ValueError("unitarizability report needs a finite component")
     lat = cfg.lat
-    elems = internal_elements(cfg, comp)
-    internal = [(1, e) for e in elems.vertical] + [(2, e) for e in elems.horizontal]
+    ov = overlay(cfg, comp, involution)
+    internal = ov.signs
     flip = involution == "dagger"
 
-    sig = signature_coloring(cfg, comp, involution)
+    sig = _coloring_counts(subcomponents(cfg, comp, ov))
     cond_i = 0 in sig
 
-    cond_ii = len(set(_face_signs(cfg, comp, involution, SignTable(cfg)))) == 1
+    cond_ii = len(set(_face_signs(cfg, comp, comp.lifts, involution, SignTable(cfg)))) == 1
 
-    vals = [cfg.poly_eval(i, lat.edge_mid2(e)) for i, e in internal]
+    vals = [cfg.poly_eval(i, mid2) for i, mid2 in internal]
     cond_iii = all((-v if flip else v) > 0 for v in vals)
 
     want = 1 if flip else 0
-    cond_iv = all(cfg.count_above(i, e) % 2 == want for i, e in internal)
+    cond_iv = all(cfg.count_above(i, mid2) % 2 == want for i, mid2 in internal)
 
-    cond_v = all(_geometric_count_above(cfg, i, e) % 2 == want for i, e in internal)
+    kind = {1: VERTICAL, 2: HORIZONTAL}
+    cond_v = all(_geometric_count_above(cfg, i, lat.edge_of_mid2(kind[i], mid2)) % 2 == want
+                 for i, mid2 in internal)
 
     conditions = {"i": cond_i, "ii": cond_ii, "iii": cond_iii, "iv": cond_iv, "v": cond_v}
     if len(set(conditions.values())) != 1:
         raise AssertionError(f"unitarizability criteria disagree: {conditions}")
     return UnitarizabilityReport(component_id=comp.id, involution=involution,
-                                 conditions=conditions, verdict=cond_i)
+                                 conditions=conditions, verdict=cond_i, coloring=sig)
 
 
 def _geometric_count_above(cfg: Configuration, i: int, e: Edge) -> int:

@@ -159,9 +159,9 @@ def test_signature_window_follows_involution(band_file, tmp_path, capsys):
     p = tmp_path / "dag.cfg"
     p.write_text(BAND4 + "involution dagger\n")
     assert main(["signature", str(p), "--component", "1", "--window", "-8", "0"]) == 0
-    assert "component 1: window sign counts {2, 3} (partial)" in capsys.readouterr().out
+    assert "component 1: window sign counts {4, 5} (partial)" in capsys.readouterr().out
     assert main(["signature", band_file, "--component", "1", "--window", "-8", "0"]) == 0
-    assert "component 1: window sign counts {0, 5} (partial)" in capsys.readouterr().out
+    assert "component 1: window sign counts {0, 9} (partial)" in capsys.readouterr().out
 
 
 def test_usage_error():

@@ -1,7 +1,7 @@
-"""Golden digests of the CLI's --json reports on the shipped configurations.
+"""Golden digests of the CLI's reports on the shipped configurations.
 
 Each case runs one command and pins the exit code and the sha256 of its
-stdout.  The windowed module reports carry the xi exponents chosen by the
+stdout; each render case also pins the sha256 of the SVG file it writes.  The windowed module reports carry the xi exponents chosen by the
 component flood, which depend on its visit order and on the order of
 ``Lattice.steps``; nothing else pins them.  A digest change means a report
 changed; the fix is in the code, not here.
@@ -26,11 +26,11 @@ GOLDEN = {
     ('example1_d4.cfg', 1, ('module', '--window', '-30', '30')): (0, '404258fce99c891d99407c3c7816f4e830c76e5edb76df72cf25c49fc81fc19e'),
     ('example1_d4.cfg', 1, ('module', '--window', '-3', '5')): (0, '902d3aabcbd26013b9dff595aa6ccf1cd5bae70a0303209d000407e00771ce33'),
     ('example1_d4.cfg', 1, ('casimir', '--all-words', '--window', '-12', '12')): (0, '40c310ef55d42ad706c54fe6bb6ddad5bf137fd1e7fdd9d8b5bbad56a0b18182'),
-    ('example1_d4.cfg', 1, ('signature', '--window', '-30', '30')): (0, 'bd5184b6faa85c94731189889fb2453b02d205e4eb78278f60d3d2b956b77f5d'),
+    ('example1_d4.cfg', 1, ('signature', '--window', '-30', '30')): (0, 'f19314ff88de4a2bea2c8d6f9954aa3d0ddc7af084d42b8b8da92a8753c85dc0'),
     ('example1_d4.cfg', 2, ('module', '--window', '-30', '30')): (0, '9d8b14a7166086158118e100f3e2dde081903247f7a27807690023342a8718c0'),
     ('example1_d4.cfg', 2, ('module', '--window', '-3', '5')): (0, 'd6ab31642fb02bbcd24d991f965870c52a05f1681f0c73afb6c6daca7c52d8d3'),
     ('example1_d4.cfg', 2, ('casimir', '--all-words', '--window', '-12', '12')): (0, 'f58e6666552cd7c3be613e2ea04357c6cb9f1d2dabbaab0123129ce66317868f'),
-    ('example1_d4.cfg', 2, ('signature', '--window', '-30', '30')): (0, '4ff14183aa294af41394d13dc817d3aba808370d4db1f730c2e57c3739fb8712'),
+    ('example1_d4.cfg', 2, ('signature', '--window', '-30', '30')): (0, '388d879ef9097f111976faf3d7b97cca1205df952eb3bf837eaf7e7da9434c13'),
     ('example2.cfg', None, ('components',)): (0, 'c86f2a0834e61530b95cfaa0cd1c6d782055ad218fce85c3018a5588bba800ec'),
     ('example2.cfg', 0, ('module', '--window', '-30', '30')): (0, '4c3786498946c09bc07d3caff15f3dd7bfb33eae6d2fd21f1a48d978c28d0e4e'),
     ('example2.cfg', 0, ('module', '--window', '-3', '5')): (0, '4c3786498946c09bc07d3caff15f3dd7bfb33eae6d2fd21f1a48d978c28d0e4e'),
@@ -43,11 +43,11 @@ GOLDEN = {
     ('example2.cfg', 2, ('module', '--window', '-30', '30')): (0, '83c625a78e645b20d898fa59c550aed7c84a94a3389c0a3a911e3a3da0ad0e46'),
     ('example2.cfg', 2, ('module', '--window', '-3', '5')): (0, 'baca14c3c58746fdc22e317d6bc9304ba9591c95506ad50441b0b45ed761c4da'),
     ('example2.cfg', 2, ('casimir', '--all-words', '--window', '-12', '12')): (0, 'd415fda11a9f200280d5f5cdbbe4a79f2cbfc7339aa433bbf378fa8e9556459b'),
-    ('example2.cfg', 2, ('signature', '--window', '-30', '30')): (0, '2a9bb7f83cf2e350aaf6cd9cbd0e880556bdecf1483813d813b88be3b8b6aa81'),
+    ('example2.cfg', 2, ('signature', '--window', '-30', '30')): (0, '495ee5fa06626a9027af23950bda3c4128142e29c8461d7dead8d02a4b980613'),
     ('example2.cfg', 3, ('module', '--window', '-30', '30')): (0, 'f4259a8b5cb90b3053f92326a9cf6c0aea3f1f9ca672b1a3c64394c3abb66e42'),
     ('example2.cfg', 3, ('module', '--window', '-3', '5')): (0, 'f27ce2455e91b056adc2abc9df52b3c6e2423b593e81843410b22d4908dfd645'),
     ('example2.cfg', 3, ('casimir', '--all-words', '--window', '-12', '12')): (0, '37fc24e2cb2699b2365abb313a6da969011dfac90003fe5594d58c118b58110c'),
-    ('example2.cfg', 3, ('signature', '--window', '-30', '30')): (0, 'f2730ff1812c2b133e247686b7d90613173249c319cf7e88615472af8f7b44eb'),
+    ('example2.cfg', 3, ('signature', '--window', '-30', '30')): (0, 'da444ffb680a2567565f82453a2502d4b631b0be7ee15e84303a6edb39f8e8e9'),
     ('example3.cfg', None, ('components',)): (0, '24bbbd96d532eb4f06d8b41252d74096af32d7d17bb9cc383bb80ed4a6a2c477'),
     ('example3.cfg', 0, ('module', '--window', '-30', '30')): (0, 'b9f89b5e72876c71873daacc9e38ce343213de63ae038abbcf446c30928ca5dd'),
     ('example3.cfg', 0, ('module', '--window', '-3', '5')): (0, 'b9f89b5e72876c71873daacc9e38ce343213de63ae038abbcf446c30928ca5dd'),
@@ -60,7 +60,7 @@ GOLDEN = {
     ('example3.cfg', 2, ('module', '--window', '-30', '30')): (0, 'fe83c43e756f208ff86ad31ae347d14a2e52b59697825bb2a2cbc6a543311207'),
     ('example3.cfg', 2, ('module', '--window', '-3', '5')): (0, 'c17b5f2d80f21f35157398fa7f4e0a230860e90003ec252817775be5250a79f1'),
     ('example3.cfg', 2, ('casimir', '--all-words', '--window', '-12', '12')): (0, 'f47977f90a99daed81e545ea96fc53c7562a9aab2b8883f63e88bc39bd7a96e1'),
-    ('example3.cfg', 2, ('signature', '--window', '-30', '30')): (0, '0221c20f030bb936dafd92ce0d8f52347577bb4aa0f43cbe136f43ba84c7adbf'),
+    ('example3.cfg', 2, ('signature', '--window', '-30', '30')): (0, '3e9a2e2f0c4b000a7e891a487f621af5f62b11f477243f840a909ab3b7425611'),
     ('example3.cfg', 3, ('module', '--window', '-30', '30')): (0, '623de0a4acf87cf4e5d58dfe64b8bdc697a5aebf6f071832089a819cb7b04441'),
     ('example3.cfg', 3, ('module', '--window', '-3', '5')): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('example3.cfg', 3, ('casimir', '--all-words', '--window', '-12', '12')): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
@@ -73,11 +73,28 @@ GOLDEN = {
     ('example4.cfg', 1, ('module', '--window', '-30', '30')): (0, 'a7e5167ad4d4982df58b818ee50cbb9050ea26a55f99c9c1e684b10c30003353'),
     ('example4.cfg', 1, ('module', '--window', '-3', '5')): (0, '6397be33a2792a01adf5d9a4a34b0f9450b84320b5ec5f5c276d63ca26f41fd6'),
     ('example4.cfg', 1, ('casimir', '--all-words', '--window', '-12', '12')): (0, 'e54122833bec983c2147aed64160e2b9de518f0a95c2909d2c3866ca50920bbf'),
-    ('example4.cfg', 1, ('signature', '--window', '-30', '30')): (0, '0a27dc301dfcdd6bf1d34798dacc77ed907f7cb32060777f019e5c3d4f05462c'),
+    ('example4.cfg', 1, ('signature', '--window', '-30', '30')): (0, 'a1b43a9bed2f0f4ee46815d8cf5c5bd6574dea0256c39da643fe8629ab40fddb'),
     ('example4.cfg', 2, ('module', '--window', '-30', '30')): (0, 'cf5f5d1d9f3a2feac1bf51dd44fef3dd5ee37b0c9af81312ba2f545b6c752f1b'),
     ('example4.cfg', 2, ('module', '--window', '-3', '5')): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('example4.cfg', 2, ('casimir', '--all-words', '--window', '-12', '12')): (1, 'a121a6548bf48466737c116211c7e171327ae2fbdd2dc9ac3f1ec4f7140ec800'),
     ('example4.cfg', 2, ('signature', '--window', '-30', '30')): (0, 'ee76550ae40c7ab1be13ca561b48ea56caf373bca8930351b91e12f3610f2f61'),
+}
+
+
+# (config, finite component) -> (exit, sha256 of the ASCII art, sha256 of the SVG)
+RENDER_GOLDEN = {
+    ('example1_d4.cfg', 0): (0, '9ee14e7bf3bb0c8a61b9a98376d3b647aec2146753e7297e8004954f6e285337',
+                             '49ba351c95dc25f3e3718fbe51a31e574a2cdec02e7b13aa1a4643a801f23b37'),
+    ('example2.cfg', 0): (0, 'c7f98f6fa1f1b4a41befd92622a1125012357153a962dd9a962258c7d8736adb',
+                          '7b3d771be4f50154b996d24621d26f52de88f91b0074579496fb1763deb8c8af'),
+    ('example2.cfg', 1): (0, '999bca911f138d558802ac2d99da6177e7a88aa38fd0c0d5f8c698c3e7ed5c28',
+                          '12fb97988fa71cc72dc61c9f399dff4ec68649ffcdfc47167d533615b21226dc'),
+    ('example3.cfg', 0): (0, 'b3c575e3a9f5a4b3630322a0982bd7bea754efd883093a7ef1725779a9b75d59',
+                          'b2d7b1b01fdac319483792468b6d48a4d02c47d94c7412bbf09e0b5234eb044d'),
+    ('example3.cfg', 1): (0, '4dd432bc6f211c0fbdab631a7063db04cf0769b243ffffc8e22abe84f1441c2e',
+                          '7648564136d7d3705a877b27697f08bfe58d2686e82b8da26465e92a591f0a73'),
+    ('example4.cfg', 0): (0, '1129f49b34574426e01712332d34f6194e09669332a2c94824f05b8772533ca0',
+                          'f68c4f7b9fc4d45b643c5bf3c47150a75a13fbd19008cb828668f1da7dbb00ae'),
 }
 
 
@@ -93,3 +110,15 @@ def run_case(name, comp, args, capsys):
 @pytest.mark.parametrize("case", list(GOLDEN), ids=lambda c: f"{c[0]}-{c[1]}-{'_'.join(c[2])}")
 def test_golden_json(case, capsys):
     assert run_case(*case, capsys) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", list(RENDER_GOLDEN), ids=lambda c: f"{c[0]}-{c[1]}")
+def test_golden_render(case, tmp_path, capsys):
+    name, comp = case
+    svg = tmp_path / "out.svg"
+    code = main(["render", str(CONFIGS / name), "--component", str(comp), "--svg", str(svg)])
+    art, wrote = capsys.readouterr().out.rsplit("wrote ", 1)
+    assert wrote == f"{svg}\n"
+    digests = (hashlib.sha256(art.encode()).hexdigest(),
+               hashlib.sha256(svg.read_bytes()).hexdigest())
+    assert (code, *digests) == RENDER_GOLDEN[case]

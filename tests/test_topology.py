@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +9,6 @@ from vertexmod.lattice import Edge, Lattice
 from vertexmod.topology import (
     components,
     eight_vertex_violations,
-    internal_elements,
     overlay,
     subcomponents,
 )
@@ -17,6 +18,11 @@ lattices = st.sampled_from([(1, 1), (2, 1), (3, 2), (5, 2)])
 
 def weights_of(comp):
     return sorted(comp.weights)
+
+
+def red_edges(lat, ov):
+    """The overlay's red edges as canonical lattice edges."""
+    return sorted(lat.edge_of_mid2("V" if i == 1 else "H", mid2) for i, mid2 in ov.red_edges())
 
 
 def test_components_example2(example2):
@@ -60,13 +66,15 @@ def test_components_rejects_nonconserving(lat52):
 
 
 def test_internal_elements_example2(example2):
+    lat = example2.lat
     comps = components(example2)
     d2, d1 = comps[0], comps[1]
-    elems = internal_elements(example2, d2)
-    assert elems.vertical == [Edge("V", 4, 2), Edge("V", 3, 2)]  # midpoints 1, 3
-    assert elems.horizontal == [] and elems.vertices == []
-    e1 = internal_elements(example2, d1)
-    assert e1.vertical == [] and e1.horizontal == [] and e1.vertices == []
+    ov = overlay(example2, d2)
+    # vertical edges only, midpoints 1, 3
+    assert list(ov.signs) == [(1, lat.edge_mid2(e)) for e in (Edge("V", 4, 2), Edge("V", 3, 2))]
+    assert ov.vertices == []
+    ov1 = overlay(example2, d1)
+    assert ov1.signs == {} and ov1.vertices == []
 
 
 def test_internal_elements_band():
@@ -75,18 +83,19 @@ def test_internal_elements_band():
     for d in (2, 4, 6):
         cfg = staircase_band(d)
         band = [c for c in components(cfg) if c.finite][0]
-        elems = internal_elements(cfg, band)
-        assert len(elems.vertical) == d - 1
-        assert len(elems.horizontal) == d - 1
-        assert len(elems.vertices) == d - 2
+        ov = overlay(cfg, band)
+        assert sum(i == 1 for i, _ in ov.signs) == d - 1
+        assert sum(i == 2 for i, _ in ov.signs) == d - 1
+        assert len(ov.vertices) == d - 2
 
 
 def test_overlay_example2(example2):
+    lat = example2.lat
     d2 = components(example2)[0]
     ov = overlay(example2, d2)
-    assert ov.signs[Edge("V", 3, 2)] == -1
-    assert ov.signs[Edge("V", 4, 2)] == 1
-    assert ov.red_edges() == [Edge("V", 3, 2)]
+    assert ov.signs[1, lat.edge_mid2(Edge("V", 3, 2))] == -1
+    assert ov.signs[1, lat.edge_mid2(Edge("V", 4, 2))] == 1
+    assert red_edges(lat, ov) == [Edge("V", 3, 2)]
 
 
 def test_overlay_band_star_and_dagger(example1_d4):
@@ -103,6 +112,35 @@ def test_eight_vertex_band(example1_d4):
     band = [c for c in components(example1_d4) if c.finite][0]
     ov = overlay(example1_d4, band)
     assert eight_vertex_violations(example1_d4, band, ov) == []
+
+
+def test_eight_vertex_check_rejects_broken_overlays():
+    # flipping one internal edge makes exactly its internal end vertices odd;
+    # dropping it leaves an internal vertex with a non-internal edge
+    for d in (3, 5):
+        cfg = staircase_band(d)
+        lat = cfg.lat
+        band = [c for c in components(cfg) if c.finite][0]
+        ov = overlay(cfg, band)
+        assert len(ov.vertices) == d - 2
+        ends_seen = 0
+        for key, s in ov.signs.items():
+            kind, x, y = lat.edge_of_mid2("V" if key[0] == 1 else "H", key[1])
+            ends = [(x, y - 1), (x, y)] if kind == "V" else [(x - 1, y), (x, y)]
+            internal_ends = sorted(t for t in map(lat.vertex_val2, ends) if t in ov.vertices)
+            if not internal_ends:
+                continue
+            ends_seen += len(internal_ends)
+            flipped = replace(ov, signs={**ov.signs, key: -s})
+            bad = eight_vertex_violations(cfg, band, flipped)
+            assert sorted(lat.vertex_val2(v) for v in bad) == internal_ends
+            with pytest.raises(ValueError, match="eight-vertex"):
+                subcomponents(cfg, band, flipped)
+            dropped = replace(ov, signs={k: v for k, v in ov.signs.items() if k != key})
+            with pytest.raises(AssertionError):
+                eight_vertex_violations(cfg, band, dropped)
+        # each internal vertex is an end of four internal edges
+        assert ends_seen == 4 * (d - 2)
 
 
 def test_subcomponents_example2(example2):
@@ -144,16 +182,14 @@ def test_partition_eight_vertex_and_additivity(mn, k, seed):
         scanned = [t for t in range(first, 2 * max(all_ws) + reach, 2)
                    if all((t + sa * a + sb * b) // 2 in comp.weights
                           for sa in (-1, 1) for sb in (-1, 1))]
-        assert [lat.vertex_val2(v) for v in internal_elements(cfg, comp).vertices] == scanned
         ov = overlay(cfg, comp)
+        assert ov.vertices == scanned
         assert eight_vertex_violations(cfg, comp, ov) == []
         pieces = subcomponents(cfg, comp, ov)
         # dimension additivity and the coloring flip rule across red edges
         assert sum(len(p.weights) for p in pieces) == comp.dim
         color = {w: p.color for p in pieces for w in p.weights}
-        for e, s in ov.signs.items():
-            i = 1 if e.kind == "V" else 2
-            mid2 = cfg.lat.edge_mid2(e)
+        for (i, mid2), s in ov.signs.items():
             step = cfg.lat.alpha if i == 1 else cfg.lat.beta
             wlo = (mid2 - step) // 2
             assert color[wlo] * color[wlo + step] == s
@@ -173,7 +209,7 @@ def test_overlay_red_edges_example3(example3):
     expected = ([Edge("H", x, 2) for x in (1, 2)]
                 + [Edge("H", x, 3) for x in (2, 3, 4, 5)]
                 + [Edge("V", 3, 5), Edge("H", 4, 4), Edge("H", 5, 4)])
-    assert sorted(overlay(example3, big).red_edges()) == \
+    assert red_edges(lat, overlay(example3, big)) == \
         sorted({lat.canonical_edge(e) for e in expected})
 
 
@@ -182,7 +218,7 @@ def test_overlay_red_edges_example4(example4):
     comp = [c for c in components(example4) if c.finite][0]
     expected = {lat.canonical_edge(e) for e in
                 (Edge("H", 1, 1), Edge("H", 2, 1), Edge("V", 6, 5), Edge("H", 7, 4))}
-    assert sorted(overlay(example4, comp).red_edges()) == sorted(expected)
+    assert red_edges(lat, overlay(example4, comp)) == sorted(expected)
 
 
 def test_two_coloring_example3(example3):

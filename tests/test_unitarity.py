@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import staircase_band
+from vertexmod.configfile import parse
 from vertexmod.configuration import Configuration, VertexPath, from_paths, random_config
 from vertexmod.lattice import Lattice
 from vertexmod.representation import build_module, casimir
@@ -22,6 +25,7 @@ from vertexmod.unitarity import (
 )
 
 lattices = st.sampled_from([(1, 1), (2, 1), (3, 2), (5, 2)])
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def finite_comps(cfg):
@@ -141,6 +145,21 @@ def test_signature_rejects_infinite(example2):
     assert partial and sum(sig) == len([w for w in inf.weights if -6 <= w <= 6])
 
 
+def test_signature_window_counts_the_module_window():
+    # the window counts cover every face that module --window floods, also
+    # beyond the window components() enumerated
+    for path in sorted(CONFIGS.glob("*.cfg")):
+        cf = parse(path.read_text())
+        cfg = cf.configuration()
+        table = SignTable(cfg)
+        for comp in components(cfg):
+            if comp.finite:
+                continue
+            for window in ((-30, 30), (-80, 80)):
+                sig, partial = signature_window(cfg, comp, window, table, cf.involution)
+                assert partial and sum(sig) == build_module(cfg, comp, window).dim
+
+
 @given(lattices, st.integers(1, 3), st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_signature_methods_agree(mn, k, seed):
@@ -249,6 +268,7 @@ def test_unitarizability_criteria_agree(mn, k, seed):
         report = unitarizability_report(cfg, comp)
         assert report.agree
         assert report.verdict == (0 in signature_direct(cfg, comp))
+        assert report.coloring == signature_coloring(cfg, comp)
 
 
 def test_dual_invariants(example2, example1_d4):
