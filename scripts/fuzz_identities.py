@@ -23,15 +23,10 @@ from vertexmod.representation import (
 )
 from vertexmod.scalar import Radical
 from vertexmod.topology import components, eight_vertex_violations, overlay
-from vertexmod.unitarity import (
-    SignTable,
-    signature_coloring,
-    signature_direct,
-    verify_invariance,
-)
+from vertexmod.unitarity import signature_coloring, signature_direct, verify_invariance
 
 
-def first_failure(cfg, words, table, tally):
+def first_failure(cfg, words, tally):
     """(component, identity) of the first identity that fails, or None.
 
     ``tally`` accumulates the module and negative loop product counts.
@@ -56,7 +51,7 @@ def first_failure(cfg, words, table, tally):
             return comp.id, "form invariance"
         if eight_vertex_violations(cfg, comp, overlay(cfg, comp)):
             return comp.id, "eight-vertex property"
-        if signature_direct(cfg, comp, table) != signature_coloring(cfg, comp):
+        if signature_direct(cfg, comp) != signature_coloring(cfg, comp):
             return comp.id, "signature method agreement"
         if not comp.contractible:
             res = casimir(rep, words[0])
@@ -73,7 +68,7 @@ def main() -> int:
     tally = {"modules": 0, "negatives": 0}
     for seed in range(seed0, seed0 + samples):
         cfg = random_config(lat, k, seed)
-        failure = first_failure(cfg, words, SignTable(cfg), tally)
+        failure = first_failure(cfg, words, tally)
         if failure is not None:
             comp, identity = failure
             print(f"seed {seed}, component {comp}: {identity} fails", file=sys.stderr)

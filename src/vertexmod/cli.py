@@ -19,7 +19,6 @@ from .lattice import Lattice
 from .representation import balanced_words, build_module, casimir, verify_relations
 from .topology import components
 from .unitarity import (
-    SignTable,
     dual_invariants,
     signature_direct,
     signature_window,
@@ -268,14 +267,13 @@ def cmd_catalog(args) -> int:
         for sample in range(args.samples):
             cfg = random_config(lat, args.k, rng)
             comps = components(cfg)
-            table = SignTable(cfg)
             paths = sorted(
                 [f"{e.kind} {e.x} {e.y} {k}" for e, k in cfg.edges.items()]
             )
             for c in comps:
                 if not c.finite:
                     continue
-                direct = signature_direct(cfg, c, table)
+                direct = signature_direct(cfg, c)
                 unit = unitarizability_report(cfg, c)
                 if direct != unit.coloring:
                     raise CliError(

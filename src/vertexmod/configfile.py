@@ -14,6 +14,7 @@ exactly m ones and n twos.  Errors carry 1-based line and column positions.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .configuration import Configuration, VertexPath, from_edges, from_paths
@@ -52,23 +53,6 @@ class ConfigFile:
         return cfg
 
 
-def _token_col(raw: str, index: int) -> int:
-    """1-based column of the index-th whitespace token of the raw line."""
-    col = 1
-    count = 0
-    in_tok = False
-    for pos, ch in enumerate(raw):
-        if ch.isspace():
-            in_tok = False
-        elif not in_tok:
-            in_tok = True
-            if count == index:
-                col = pos + 1
-                break
-            count += 1
-    return col
-
-
 def parse(text: str) -> ConfigFile:
     period: tuple[int, int] | None = None
     paths: list[VertexPath] = []
@@ -85,7 +69,9 @@ def parse(text: str) -> ConfigFile:
         word = toks[0]
 
         def err(msg, index=0):
-            raise ParseError(msg, lineno, _token_col(raw, index))
+            # the index-th whitespace token of the raw line, or column 1 if it has none
+            starts = [t.start() + 1 for t in re.finditer(r"\S+", raw)]
+            raise ParseError(msg, lineno, starts[index] if index < len(starts) else 1)
 
         def ints(args, what):
             out = []

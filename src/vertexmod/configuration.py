@@ -17,9 +17,13 @@ Attached to a configuration are, for each orientation i:
   (Mazorchuk-Turowska equation) p_1(v + beta/2) p_2(v + alpha/2)
   = p_1(v - beta/2) p_2(v - alpha/2).
 
+The sign function on faces integrates the difference rule "crossing an
+edge flips the sign iff its above-count is odd" from the weight-zero face,
+which has sign +1.  Conservation makes the rule path independent.
+
 A configuration never changes after construction (its ``edges`` map is a
 read-only view), so P_i and q_i are memoized per instance, keyed by
-orientation and doubled midpoint.  Both are computed in integers: the
+orientation and doubled midpoint, and the face signs by weight.  Both are computed in integers: the
 numerator prod (u2 - m)^k of P_i, and for q_i one small squarefree
 decomposition per root, with the power of two 2^deg_i divided out once.
 """
@@ -35,8 +39,6 @@ from types import MappingProxyType
 
 from .lattice import HORIZONTAL, VERTICAL, Edge, Lattice, Vertex
 from .scalar import Radical, squarefree_decompose
-
-_ORIENT_KIND = {1: VERTICAL, 2: HORIZONTAL}
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,8 @@ class Configuration:
         # memoized edge values, keyed by (orientation, doubled midpoint)
         self._poly: dict[tuple[int, int], Fraction] = {}
         self._sqrt: dict[tuple[int, int], Radical] = {}
+        # face signs at weights 0, d, 2d, ... for each direction d = +-1
+        self._signs: dict[int, list[int]] = {1: [1], -1: [1]}
 
     # -- basic queries -----------------------------------------------------
 
@@ -173,18 +177,12 @@ class Configuration:
             val = self._poly[i, u2] = Fraction(num, 2 ** self.total_multiplicity(i))
         return val
 
-    def count_above(self, i: int, e) -> int:
-        """Total multiplicity of orientation-i support strictly above e.
+    def count_above(self, i: int, mid2: int) -> int:
+        """Total multiplicity of orientation-i support strictly above mid2."""
+        return self._suffix[i][bisect_right(self._sorted[i], mid2)]
 
-        Accepts an Edge of the matching orientation or a doubled midpoint.
-        """
-        mid2 = self._as_mid2(i, e)
-        mids = self._sorted[i]
-        return self._suffix[i][bisect_right(mids, mid2)]
-
-    def sqrt_value(self, i: int, e) -> Radical:
-        """The square root i^(count above) * sqrt(|P_i(e)|) of the edge polynomial."""
-        mid2 = self._as_mid2(i, e)
+    def sqrt_value(self, i: int, mid2: int) -> Radical:
+        """The square root i^(count above) * sqrt(|P_i|) of the edge polynomial at mid2."""
         q = self._sqrt.get((i, mid2))
         if q is None:
             q = self._sqrt[i, mid2] = self._sqrt_value(i, mid2)
@@ -209,13 +207,22 @@ class Configuration:
                 root = (root // h) * (s // h)
         return Radical(0, self.count_above(i, mid2) % 4, Fraction(coeff, 2**deg), root)
 
-    def _as_mid2(self, i: int, e) -> int:
-        if isinstance(e, Edge):
-            want = _ORIENT_KIND[i]
-            if e.kind != want:
-                raise ValueError(f"edge {e} does not have orientation {i}")
-            return self.lat.edge_mid2(e)
-        return int(e)
+    def face_sign(self, w: int) -> int:
+        """The global sign of the face of weight w.
+
+        The memo grows outward from weight 0, one unit block per weight:
+        the sign flips when the block crosses an odd total above-count.
+        """
+        d = 1 if w >= 0 else -1
+        signs = self._signs[d]
+        if len(signs) <= d * w:
+            walk, block = self.lat.walk, self.lat.unit_blocks[d]
+            sign = signs[-1]
+            for cur in range(d * (len(signs) - 1), w, d):
+                if sum(self.count_above(i, mid2) for i, mid2, _ in walk(cur, block)) % 2:
+                    sign = -sign
+                signs.append(sign)
+        return signs[d * w]
 
     # -- vertex factorization identity --------------------------------------
 

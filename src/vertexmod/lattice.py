@@ -72,6 +72,8 @@ class Lattice:
 
     ``steps`` maps each generator name to its move, in the fixed order every
     flood fill uses; ``walk`` follows a face path by the same moves.
+    ``unit_blocks[d]`` is a signed step sequence with net weight change d,
+    for d = 1 and d = -1.
     """
 
     m: int
@@ -79,6 +81,7 @@ class Lattice:
     alpha: int = field(init=False)
     beta: int = field(init=False)
     steps: dict[str, Step] = field(init=False, repr=False, compare=False)
+    unit_blocks: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
     _moves: dict = field(init=False, repr=False, compare=False)  # walk token -> (dw, orient)
 
     def __post_init__(self):
@@ -97,6 +100,13 @@ class Lattice:
         }
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "_moves", {t: steps[g][:2] for t, g in _TOKEN_STEP.items()})
+        # y0 steps of +beta then x0 of +alpha net +1; the reverse signs net -1
+        y0 = 1 if self.n == 1 else pow(self.m, -1, self.n)
+        x0 = (self.m * y0 - 1) // self.n
+        if y0 * b + x0 * a != 1:
+            raise AssertionError(f"unit block {x0} alpha + {y0} beta does not net +1")
+        object.__setattr__(self, "unit_blocks", {1: (2,) * y0 + (1,) * x0,
+                                                 -1: (-2,) * y0 + (-1,) * x0})
 
     # -- weights ---------------------------------------------------------
 

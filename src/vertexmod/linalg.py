@@ -48,6 +48,10 @@ class MonomialMat:
     def dim(self) -> int:
         return len(self.cols)
 
+    def items(self) -> list[tuple[tuple[int, int], Radical]]:
+        """((row, column), value) of every stored entry, in column order."""
+        return [((col[0], c), col[1]) for c, col in enumerate(self.cols) if col is not None]
+
     def entry(self, r: int, c: int) -> Radical:
         col = self.cols[c]
         return col[1] if col is not None and col[0] == r else Radical.zero()

@@ -32,7 +32,6 @@ from itertools import combinations
 from math import comb, gcd
 
 from .configuration import Configuration
-from .lattice import Face
 from .linalg import MonomialMat
 from .scalar import Radical
 from .topology import Component, window_flood
@@ -59,7 +58,7 @@ class ModuleRep:
     comp: Component
     weights: list[int]  # increasing; basis order
     lifts: dict[int, tuple[int, int]]
-    mats: dict[str, dict[tuple[int, int], Radical]]
+    mats: dict[str, MonomialMat]  # X1+, X1-, X2+, X2- and H
     window: tuple[int, int] | None = None
     _index: dict[int, int] = field(default_factory=dict, repr=False)
 
@@ -80,27 +79,15 @@ class ModuleRep:
     def in_basis(self, w: int) -> bool:
         return w in self._index
 
-    def faces(self) -> list[Face]:
-        return [self.cfg.lat.face_of_weight(w) for w in self.weights]
-
-    def matrix(self, gen: str) -> MonomialMat:
-        if gen == "H":
-            return self.h_matrix()
-        return MonomialMat(self.dim, self.mats[gen])
-
-    def h_matrix(self) -> MonomialMat:
-        return MonomialMat.diagonal([Fraction(w) for w in self.weights])
-
     def export_triplets(self, gen: str) -> str:
         """Plain text 'row col value' lines for external inspection."""
         if gen == "H":
             return "\n".join(f"{i} {i} {w}" for i, w in enumerate(self.weights))
-        lines = [f"{r} {c} {val}" for (r, c), val in sorted(self.mats[gen].items())]
-        return "\n".join(lines)
+        return "\n".join(f"{r} {c} {val}" for (r, c), val in sorted(self.mats[gen].items()))
 
 
 def build_module(cfg: Configuration, comp: Component, window: tuple[int, int] | None = None) -> ModuleRep:
-    """Basis, lifts and the four generator matrices over a component.
+    """Basis, lifts and the generator matrices X1+-, X2+- and H over a component.
 
     Finite components are used whole (window ignored); infinite ones require
     a weight window and yield a truncation whose boundary rows are only
@@ -118,7 +105,7 @@ def build_module(cfg: Configuration, comp: Component, window: tuple[int, int] | 
             raise ValueError(f"window {window} does not meet component {comp.id}")
     lat = cfg.lat
     idx = {w: i for i, w in enumerate(basis)}
-    mats: dict[str, dict[tuple[int, int], Radical]] = {g: {} for g in GENERATORS}
+    entries: dict[str, dict[tuple[int, int], Radical]] = {g: {} for g in GENERATORS}
     for gen in GENERATORS:
         dw, i, (sx, sy) = lat.steps[gen]
         for w in basis:
@@ -139,8 +126,9 @@ def build_module(cfg: Configuration, comp: Component, window: tuple[int, int] | 
                 raise AssertionError(f"{gen} lifts at weight {w} differ by a non-period")
             if k and comp.contractible:
                 raise AssertionError("winding factor inside a contractible component")
-            entry = Radical(k, q.phase, q.coeff, q.root)
-            mats[gen][(idx[w2], idx[w])] = entry
+            entries[gen][(idx[w2], idx[w])] = Radical(k, q.phase, q.coeff, q.root)
+    mats = {g: MonomialMat(len(basis), entries[g]) for g in GENERATORS}
+    mats["H"] = MonomialMat.diagonal([Fraction(w) for w in basis])
     return ModuleRep(cfg=cfg, comp=comp, weights=basis, lifts=lifts,
                      mats=mats, window=None if comp.finite else window)
 
@@ -164,29 +152,19 @@ def verify_relations(rep: ModuleRep) -> RelationReport:
 
     For windowed modules a relation instance is asserted only when every
     face it reaches through unsupported edges lies in the basis; anything
-    else is reported as skipped, never silently passed.  A generator with a
-    second entry in some row or column fails as not monomial; the product
-    relations and commutators of that module are then skipped.
+    else is reported as skipped, never silently passed.
     """
-    cfg, steps = rep.cfg, rep.cfg.lat.steps
+    cfg, steps, mats = rep.cfg, rep.cfg.lat.steps, rep.mats
     report = RelationReport(failures=[], skipped=[])
-    mats = {}
 
-    # monomial shape and H-commutators
+    # H-commutators
     for gen in GENERATORS:
-        try:
-            mats[gen] = rep.matrix(gen)
-        except ValueError:
-            report.failures.append(f"{gen} is not monomial")
-        for r, c in rep.mats[gen]:
+        for (r, c), _ in mats[gen].items():
             if rep.weights[r] - rep.weights[c] != steps[gen].dw:
                 report.failures.append(
                     f"[H,{gen}] fails at basis weight {rep.weights[c]}"
                 )
             report.checked += 1
-    if len(mats) < len(GENERATORS):
-        report.skipped.append("product relations and commutators (not monomial)")
-        return report
 
     # product relations Xi+- Xi-+ = P_i(H -+ alpha_i/2)
     for gen, opp in (("X1+", "X1-"), ("X1-", "X1+"), ("X2+", "X2-"), ("X2-", "X2+")):
@@ -239,13 +217,12 @@ def verify_relations(rep: ModuleRep) -> RelationReport:
 # -- face-path walks -----------------------------------------------------------
 
 
-def crossing_order(cfg: Configuration, word: str, w) -> int:
+def crossing_order(cfg: Configuration, word: str, w: int) -> int:
     """Multiplicity of supported vertical edges crossed by the closed loop.
 
     The loop is the face path from w following the balanced word; by
     conservation the horizontal crossing count agrees, which is asserted.
     """
-    w = cfg.lat.face_weight(w) if not isinstance(w, int) else w
     if word.count("1") != cfg.lat.m or word.count("2") != cfg.lat.n:
         raise ValueError(f"word {word!r} is not balanced for {(cfg.lat.m, cfg.lat.n)}")
     vert = horiz = 0
@@ -259,9 +236,8 @@ def crossing_order(cfg: Configuration, word: str, w) -> int:
     return vert
 
 
-def path_sqrt_product(cfg: Configuration, steps: str, w) -> Radical:
+def path_sqrt_product(cfg: Configuration, steps: str, w: int) -> Radical:
     """Ordered product of square-root values along a face path (no gauge)."""
-    w = cfg.lat.face_weight(w) if not isinstance(w, int) else w
     out = Radical.one()
     for i, mid2, _ in cfg.lat.walk(w, steps):
         out = out * cfg.sqrt_value(i, mid2)
@@ -270,9 +246,8 @@ def path_sqrt_product(cfg: Configuration, steps: str, w) -> Radical:
     return out
 
 
-def path_poly_product(cfg: Configuration, steps: str, w) -> Fraction:
+def path_poly_product(cfg: Configuration, steps: str, w: int) -> Fraction:
     """Ordered product of edge polynomial values along a face path."""
-    w = cfg.lat.face_weight(w) if not isinstance(w, int) else w
     num = den = 1
     for i, mid2, _ in cfg.lat.walk(w, steps):
         p = cfg.poly_eval(i, mid2)
@@ -288,8 +263,7 @@ def order_support(cfg: Configuration, word: str) -> dict[int, int]:
     midpoint 2*lam + off for every offset off that the loop from weight 0
     crosses.  So each supported edge at e2 adds one crossing per unit of
     multiplicity at lam = (e2 - off)/2.  Vertical and horizontal crossings
-    are counted apart, and as in ``crossing_order`` their agreement is
-    asserted.
+    are counted apart, and their agreement is asserted.
     """
     if word.count("1") != cfg.lat.m or word.count("2") != cfg.lat.n:
         raise ValueError(f"word {word!r} is not balanced for {(cfg.lat.m, cfg.lat.n)}")
@@ -326,12 +300,8 @@ class OrderProductReport:
 
     @property
     def identity_ok(self) -> bool:
-        return not self.identity_failures and not self.crossing_failures
-
-    @property
-    def ok(self) -> bool:
         """The promised identities hold; negative values are diagnostics only."""
-        return self.identity_ok
+        return not self.identity_failures and not self.crossing_failures
 
 
 def check_order_product(cfg: Configuration, word: str, window: tuple[int, int]) -> OrderProductReport:
@@ -345,7 +315,8 @@ def check_order_product(cfg: Configuration, word: str, window: tuple[int, int]) 
       weights where the signed common value is negative, i.e. where the
       accumulated phase is 2 mod 4 (by the signed identity, exactly where
       the order polynomial is negative);
-    * the total crossed multiplicity equals twice the loop order.
+    * the total crossed multiplicity along the walk equals twice the loop
+      order that ``order_support`` counts without walking.
     """
     identity_failures, sign_failures, crossing_failures = [], [], []
     support = order_support(cfg, word)
@@ -359,7 +330,7 @@ def check_order_product(cfg: Configuration, word: str, window: tuple[int, int]) 
         if rhs < 0 or lhs.phase % 4 != 0:
             sign_failures.append(f"negative value at {mu}: {lhs}")
         total = sum(cfg.mult_mid2(i, m2) for i, m2, _ in cfg.lat.walk(mu, word))
-        if total != 2 * crossing_order(cfg, word, mu):
+        if total != 2 * support.get(mu, 0):
             crossing_failures.append(f"total crossings != 2 * order at {mu}")
         checked += 1
     return OrderProductReport(word=word, window=window,
@@ -375,7 +346,7 @@ def word_matrix(rep: ModuleRep, tokens) -> MonomialMat:
     """Product of generator matrices; the rightmost token acts first."""
     out = MonomialMat.identity(rep.dim)
     for t in tokens:
-        out = out @ rep.matrix(t)
+        out = out @ rep.mats[t]
     return out
 
 
@@ -416,7 +387,7 @@ def casimir(rep: ModuleRep, word: str) -> CasimirResult:
     for c in "12":
         cols[c] = [col and (col[0], col[1].xi_exp, col[1].phase, col[1].coeff.numerator,
                             col[1].coeff.denominator, col[1].root)
-                   for col in rep.matrix(f"X{c}+").cols]
+                   for col in rep.mats[f"X{c}+"].cols]
     chain = [cols[c] for c in word]
     determinate, indeterminate, scalars = [], [], set()
     for j, w in enumerate(rep.weights):

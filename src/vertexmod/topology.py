@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .configuration import Configuration
-from .lattice import Face, Vertex
+from .lattice import Vertex
 
 
 class ColoringConflictError(ValueError):
@@ -62,9 +62,6 @@ class Component:
     @property
     def min_weight(self) -> int:
         return min(self.weights)
-
-    def faces(self, lat) -> list[Face]:
-        return [lat.face_of_weight(w) for w in sorted(self.weights)]
 
     def sorted_weights(self) -> list[int]:
         return sorted(self.weights)
@@ -152,7 +149,7 @@ def lift_moves(cfg: Configuration, lo: int, hi: int, escapes: list[int]):
     return moves
 
 
-def components(cfg: Configuration, window: tuple[int, int] | None = None) -> list[Component]:
+def components(cfg: Configuration) -> list[Component]:
     """Flood fill the cylinder minus the configuration.
 
     Requires a conservative configuration.  Components are sorted finite
@@ -162,7 +159,7 @@ def components(cfg: Configuration, window: tuple[int, int] | None = None) -> lis
     if bad:
         raise ValueError(f"configuration violates conservation at {bad[:4]}")
     lat = cfg.lat
-    lo, hi = window if window is not None else default_window(cfg)
+    lo, hi = default_window(cfg)
     escapes: list[int] = []
     moves = lift_moves(cfg, lo, hi, escapes)
     seen: set[int] = set()

@@ -6,7 +6,7 @@ determined by a difference rule: crossing an edge flips the sign exactly
 when the count of same-orientation supported edges above it is odd.
 Conservation makes the rule path independent, so integrating it along any
 path from the weight-zero face (normalized to +1) gives a well defined
-global sign function.
+global sign function, ``Configuration.face_sign``.
 
 Two ways to compute the signature of a finite component module:
 
@@ -36,21 +36,6 @@ from .topology import Component, overlay, subcomponents, window_flood
 Signature = tuple[int, int]  # unordered pair, stored sorted ascending
 
 
-def _unit_block(lat) -> tuple[list[int], list[int]]:
-    """Signed step sequences realizing weight change +1 and -1."""
-    m, n = lat.m, lat.n
-    if n == 1:
-        y0 = 1
-    else:
-        y0 = pow(m, -1, n)
-    x0 = (m * y0 - 1) // n
-    if y0 * lat.beta + x0 * lat.alpha != 1:
-        raise AssertionError(f"unit block {x0} alpha + {y0} beta does not net +1")
-    up = [2] * y0 + [1] * x0      # y0 steps of +beta then x0 of +alpha: net +1
-    down = [-2] * y0 + [-1] * x0  # the reverse signs: net -1
-    return up, down
-
-
 def path_phase2(cfg: Configuration, steps) -> int:
     """Doubled phase accumulated along a signed step path from weight 0.
 
@@ -61,28 +46,14 @@ def path_phase2(cfg: Configuration, steps) -> int:
 
 
 class SignTable:
-    """Memoized global sign function, +1 at weight 0."""
+    """A view of ``Configuration.face_sign``.
+
+    Kept only because ``perfbench/workloads.py`` builds one per configuration
+    and passes it to ``signature_direct``.
+    """
 
     def __init__(self, cfg: Configuration):
-        self.cfg = cfg
-        self._signs: dict[int, int] = {0: 1}
-        self._up, self._down = _unit_block(cfg.lat)
-
-    def sign(self, w) -> int:
-        w = self.cfg.lat.face_weight(w) if not isinstance(w, int) else w
-        if w in self._signs:
-            return self._signs[w]
-        # extend the table from the nearest computed weight, unit by unit
-        cur = max(x for x in self._signs if x < w) if w > 0 else min(self._signs)
-        sign = self._signs[cur]
-        block = self._up if w > cur else self._down
-        walk, count_above = self.cfg.lat.walk, self.cfg.count_above
-        while cur != w:
-            if sum(count_above(i, mid2) for i, mid2, _ in walk(cur, block)) % 2:
-                sign = -sign
-            cur += 1 if w > cur else -1
-            self._signs[cur] = sign
-        return sign
+        self.sign = cfg.face_sign
 
 
 @dataclass
@@ -154,14 +125,13 @@ def check_sign_consistency(cfg: Configuration, window: tuple[int, int],
 # -- the invariant form on a module --------------------------------------------
 
 
-def gram_diag(rep: ModuleRep, table: SignTable | None = None) -> list[int]:
+def gram_diag(rep: ModuleRep) -> list[int]:
     """Diagonal of the invariant form in the face basis."""
-    table = table or SignTable(rep.cfg)
-    return [table.sign(w) for w in rep.weights]
+    return [rep.cfg.face_sign(w) for w in rep.weights]
 
 
-def gram_matrix(rep: ModuleRep, table: SignTable | None = None) -> MonomialMat:
-    return MonomialMat.diagonal([Fraction(s) for s in gram_diag(rep, table)])
+def gram_matrix(rep: ModuleRep) -> MonomialMat:
+    return MonomialMat.diagonal([Fraction(s) for s in gram_diag(rep)])
 
 
 @dataclass
@@ -174,31 +144,31 @@ class InvarianceReport:
         return not self.failures
 
 
-def verify_invariance(rep: ModuleRep, table: SignTable | None = None) -> InvarianceReport:
+def verify_invariance(rep: ModuleRep) -> InvarianceReport:
     """conj-transpose(X_i^+) G = G X_i^- and H real, as exact identities.
 
     Entry presence is symmetric between the two sides even on windowed
     modules, so no boundary skipping is needed here.
     """
-    G = gram_matrix(rep, table)
+    G = gram_matrix(rep)
     failures = []
     checked = 0
     for i in (1, 2):
-        plus, minus = rep.matrix(f"X{i}+"), rep.matrix(f"X{i}-")
+        plus, minus = rep.mats[f"X{i}+"], rep.mats[f"X{i}-"]
         if plus.conj_transpose() @ G != G @ minus:
             failures.append(f"form invariance fails for X{i}+-")
         checked += 1
-    H = rep.h_matrix()
+    H = rep.mats["H"]
     if H.conj_transpose() != H:
         failures.append("H is not real diagonal")
     checked += 1
     return InvarianceReport(failures=failures, checked=checked)
 
 
-def adjoint_matrix(rep: ModuleRep, gen: str, table: SignTable | None = None) -> MonomialMat:
+def adjoint_matrix(rep: ModuleRep, gen: str) -> MonomialMat:
     """Form adjoint G^-1 M^dagger G (G is its own inverse)."""
-    G = gram_matrix(rep, table)
-    return G @ rep.matrix(gen).conj_transpose() @ G
+    G = gram_matrix(rep)
+    return G @ rep.mats[gen].conj_transpose() @ G
 
 
 # -- signatures ------------------------------------------------------------------
@@ -206,16 +176,21 @@ def adjoint_matrix(rep: ModuleRep, gen: str, table: SignTable | None = None) -> 
 
 def signature_direct(cfg: Configuration, comp: Component,
                      table: SignTable | None = None, involution: str = "star") -> Signature:
-    """Counts of faces by the involution's sign; unordered, returned sorted."""
+    """Counts of faces by the involution's sign; unordered, returned sorted.
+
+    ``table`` is ignored: the signs come from ``cfg.face_sign``.  The
+    parameter stays because ``perfbench/workloads.py`` passes a
+    ``SignTable`` as the third positional argument.
+    """
     if not comp.finite:
         raise ValueError("signature of an infinite component; use signature_window")
-    signs = _face_signs(cfg, comp, comp.lifts, involution, table or SignTable(cfg))
+    signs = _face_signs(cfg, comp, comp.lifts, involution)
     pos = signs.count(1)
     return tuple(sorted((pos, len(signs) - pos)))
 
 
 def _face_signs(cfg: Configuration, comp: Component, lifts: dict[int, tuple[int, int]],
-                involution: str, table: SignTable) -> list[int]:
+                involution: str) -> list[int]:
     """The sign under the involution of each face of the component in ``lifts``.
 
     The dagger rule flips every edge sign, one extra flip per step, and each
@@ -225,16 +200,15 @@ def _face_signs(cfg: Configuration, comp: Component, lifts: dict[int, tuple[int,
     m + n odd no consistent dagger sign exists.
     """
     if involution == "star":
-        return [table.sign(w) for w in lifts]
+        return [cfg.face_sign(w) for w in lifts]
     if involution != "dagger":
         raise ValueError(f"involution must be 'star' or 'dagger', got {involution!r}")
     if not comp.contractible and (cfg.lat.m + cfg.lat.n) % 2:
         raise ValueError("the flipped involution admits no consistent sign on this component")
-    return [(-1 if (x + y) % 2 else 1) * table.sign(w) for w, (x, y) in lifts.items()]
+    return [(-1 if (x + y) % 2 else 1) * cfg.face_sign(w) for w, (x, y) in lifts.items()]
 
 
 def signature_window(cfg: Configuration, comp: Component, window: tuple[int, int],
-                     table: SignTable | None = None,
                      involution: str = "star") -> tuple[Signature, bool]:
     """Face counts by the involution's sign over the component's faces in the window.
 
@@ -242,7 +216,7 @@ def signature_window(cfg: Configuration, comp: Component, window: tuple[int, int
     flag marks the counts partial (an infinite component).
     """
     _, lifts = window_flood(cfg, comp, *window)
-    signs = _face_signs(cfg, comp, lifts, involution, table or SignTable(cfg))
+    signs = _face_signs(cfg, comp, lifts, involution)
     pos = signs.count(1)
     return tuple(sorted((pos, len(signs) - pos))), not comp.finite
 
@@ -301,7 +275,7 @@ def unitarizability_report(cfg: Configuration, comp: Component,
     sig = _coloring_counts(subcomponents(cfg, comp, ov))
     cond_i = 0 in sig
 
-    cond_ii = len(set(_face_signs(cfg, comp, comp.lifts, involution, SignTable(cfg)))) == 1
+    cond_ii = len(set(_face_signs(cfg, comp, comp.lifts, involution))) == 1
 
     vals = [cfg.poly_eval(i, mid2) for i, mid2 in internal]
     cond_iii = all((-v if flip else v) > 0 for v in vals)

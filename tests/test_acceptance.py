@@ -215,7 +215,7 @@ def test_criterion_03_example3(examples):
             plus, minus = rep.mats[f"X{i}+"], rep.mats[f"X{i}-"]
             for (r, c), v in plus.items():
                 lhs = v.value(xi).conjugate() * g[r]
-                rhs = g[c] * minus[(c, r)].value(xi)
+                rhs = g[c] * minus.entry(c, r).value(xi)
                 assert abs(lhs - rhs) < 1e-9
         assert abs(casimir(rep, "1111122").scalar.value(xi) - xi) < 1e-9
     report(3, "example 3: dims {6,14}, {6,0} unitarizable, {7,7} at formal and unit xi")

@@ -51,6 +51,16 @@ def test_parse_error_positions():
     assert exc.value.line == 1
 
 
+def test_parse_error_columns_count_tabs_and_comments():
+    with pytest.raises(ParseError) as exc:
+        parse("period 5 2\n\tedge W 1 1 1\n")
+    assert (exc.value.line, exc.value.col) == (2, 7)
+    # a missing argument points at the first token after the directive, here '#'
+    with pytest.raises(ParseError) as exc:
+        parse("period 5 2\ninvolution # x\n")
+    assert (exc.value.line, exc.value.col) == (2, 12)
+
+
 def test_parse_rejects_bad_period():
     with pytest.raises(ParseError):
         parse("period 4 2\n")

@@ -80,11 +80,9 @@ def test_poly_eval(example2, lat52):
 
 
 def test_count_above(example2, lat52):
-    assert example2.count_above(1, Edge("V", 3, 2)) == 1
-    assert example2.count_above(1, Edge("V", 4, 2)) == 2
+    assert example2.count_above(1, lat52.edge_mid2(Edge("V", 3, 2))) == 1
+    assert example2.count_above(1, lat52.edge_mid2(Edge("V", 4, 2))) == 2
     assert Configuration(lat52, {}).count_above(1, 0) == 0
-    with pytest.raises(ValueError):
-        example2.count_above(1, Edge("H", 1, 0))
 
 
 @given(lattices, st.integers(0, 3), st.integers(0, 10**6))
@@ -101,9 +99,9 @@ def test_count_above_brute_force(mn, k, seed):
 
 
 def test_sqrt_value(example2, lat52):
-    assert example2.sqrt_value(1, Edge("V", 3, 2)) == Radical.make(phase=1, root=24)
+    assert example2.sqrt_value(1, lat52.edge_mid2(Edge("V", 3, 2))) == Radical.make(phase=1, root=24)
     assert Configuration(lat52, {}).sqrt_value(1, 4) == Radical.one()
-    assert example2.sqrt_value(1, Edge("V", 2, 1)) == Radical.zero()  # supported edge
+    assert example2.sqrt_value(1, lat52.edge_mid2(Edge("V", 2, 1))) == Radical.zero()  # supported edge
 
 
 def _reference_edge_values(cfg, i, mid2):

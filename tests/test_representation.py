@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import staircase_band
+from vertexmod import representation
 from vertexmod.configuration import Configuration, from_edges, random_config
 from vertexmod.lattice import Edge, Lattice
 from vertexmod.linalg import MonomialMat
 from vertexmod.representation import (
+    GENERATORS,
     balanced_words,
     build_module,
     casimir,
@@ -47,33 +49,32 @@ def test_build_module_example2(example2):
     d2, d1 = comps[0], comps[1]
     rep1 = build_module(example2, d1)
     assert rep1.dim == 1 and rep1.weights == [1]
-    assert all(not rep1.mats[g] for g in rep1.mats)  # every boundary edge is supported
+    assert all(rep1.mats[g].is_zero for g in GENERATORS)  # every boundary edge is supported
     rep2 = build_module(example2, d2)
     assert rep2.weights == [0, 2, 4]
     # the step from weight 2 to weight 4 crosses the midpoint-3 edge
-    assert rep2.mats["X1-"][(2, 1)] == Radical.make(phase=1, root=24)
+    assert rep2.mats["X1-"].entry(2, 1) == Radical.make(phase=1, root=24)
     assert verify_relations(rep2).ok
+
+
+def corrupt(rep, gen, rc, change):
+    """Rebuild the generator matrix with the entry at rc replaced by change(entry)."""
+    entries = dict(rep.mats[gen].items())
+    entries[rc] = change(entries[rc])
+    rep.mats[gen] = MonomialMat(rep.dim, entries)
 
 
 def test_negated_entry_fails_product_relations(example2):
     rep = build_module(example2, components(example2)[0])
-    rep.mats["X1+"][(1, 2)] = rep.mats["X1+"][(1, 2)].times_rational(-1)
+    corrupt(rep, "X1+", (1, 2), lambda v: v.times_rational(-1))
     report = verify_relations(rep)
     assert [f.split(":")[0] for f in report.failures] == [
         "X1+X1- at weight 2", "X1-X1+ at weight 4"]
 
 
-def test_second_entry_in_column_is_not_monomial(example2):
-    rep = build_module(example2, components(example2)[0])
-    rep.mats["X1+"][(0, 2)] = Radical.one()  # column 2 already holds (1, 2)
-    report = verify_relations(rep)
-    assert "X1+ is not monomial" in report.failures
-    assert report.skipped == ["product relations and commutators (not monomial)"]
-
-
 def test_winding_factor_fails_commutator(example3):
     rep = build_module(example3, finite_comps(example3)[1])
-    rep.mats["X2-"][(0, 5)] = rep.mats["X2-"][(0, 5)] * Radical.xi_power(1)
+    corrupt(rep, "X2-", (0, 5), lambda v: v * Radical.xi_power(1))
     failures = verify_relations(rep).failures
     assert "[X1+,X2-] fails at basis weight 12" in failures
     assert [f.split(":")[0] for f in failures if "X2+" in f] == [
@@ -92,8 +93,8 @@ def test_band_winding_gauge(example1_d4):
     band = finite_comps(example1_d4)[0]
     rep = build_module(example1_d4, band)
     for w in range(1, 4):
-        up = rep.mats["X2+"][(rep.index(w + 1), rep.index(w))]
-        back = rep.mats["X1+"][(rep.index(w), rep.index(w + 1))]
+        up = rep.mats["X2+"].entry(rep.index(w + 1), rep.index(w))
+        back = rep.mats["X1+"].entry(rep.index(w), rep.index(w + 1))
         assert up.xi_exp + back.xi_exp == 1
     assert verify_relations(rep).ok
 
@@ -104,7 +105,7 @@ def test_contractible_module_has_no_winding(example2, example3):
             if not comp.contractible:
                 continue
             rep = build_module(cfg, comp)
-            assert all(v.xi_exp == 0 for g in rep.mats for v in rep.mats[g].values())
+            assert all(v.xi_exp == 0 for mat in rep.mats.values() for _, v in mat.items())
 
 
 def test_empty_window_module(lat52):
@@ -115,7 +116,7 @@ def test_empty_window_module(lat52):
     report = verify_relations(rep)
     assert report.ok and report.skipped  # boundary rows are skipped, not asserted
     # interior product relations reduce to the identity
-    prod = rep.matrix("X1+") @ rep.matrix("X1-")
+    prod = rep.mats["X1+"] @ rep.mats["X1-"]
     mid = rep.index(0)
     assert prod.entry(mid, mid) == Radical.one()
 
@@ -181,9 +182,26 @@ def test_order_product_sign_clause_not_a_theorem(example1_d4):
     # the signed identity holds, but the common value can be negative; the
     # canonical counterexample sits inside the width-4 band
     report = check_order_product(example1_d4, "12", (-20, 20))
-    assert report.identity_ok and report.ok  # negative values are not failures
+    assert report.identity_ok  # negative values are not failures
     assert any("at 2" in f for f in report.sign_failures)
     assert path_sqrt_product(example1_d4, "12", 2) == Radical.from_rational(-3)
+
+
+def test_crossing_check_catches_a_shifted_order(example1_d4, monkeypatch):
+    # the walked crossing total is compared with the counted support, so a
+    # support that misplaces one lambda fails at both weights
+    real = representation.order_support
+
+    def shifted(cfg, word):
+        support = real(cfg, word)
+        support[6] = support.pop(5)
+        return support
+
+    monkeypatch.setattr(representation, "order_support", shifted)
+    report = check_order_product(example1_d4, "12", (-20, 20))
+    assert report.crossing_failures == ["total crossings != 2 * order at 5",
+                                        "total crossings != 2 * order at 6"]
+    assert not report.identity_ok
 
 
 def test_relations_on_examples(example2, example3, example4, example1_d4):
@@ -207,7 +225,7 @@ def test_word_matrix(example2):
     assert word_matrix(rep, []) == MonomialMat.identity(3)
     assert word_matrix(rep, ["H"]) == MonomialMat.diagonal([Fraction(w) for w in rep.weights])
     # composition order: rightmost acts first
-    assert word_matrix(rep, ["X1+", "X1-"]) == rep.matrix("X1+") @ rep.matrix("X1-")
+    assert word_matrix(rep, ["X1+", "X1-"]) == rep.mats["X1+"] @ rep.mats["X1-"]
 
 
 def test_loop_operator_adjoint_identity(example1_d4, example2):
@@ -254,6 +272,21 @@ def test_casimir_empty_window(lat52):
         assert res.determinate  # interior faces certify the value
 
 
+def test_casimir_builds_no_matrices(example3, monkeypatch):
+    # casimir reads the generator matrices build_module stored
+    rep = build_module(example3, finite_comps(example3)[1])
+    init, calls = MonomialMat.__init__, []
+
+    def counting_init(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(MonomialMat, "__init__", counting_init)
+    for word in balanced_words(5, 2):
+        casimir(rep, word)
+    assert calls == []
+
+
 def test_casimir_unitary(example3):
     # form-adjoint of the Casimir matrix times itself is the identity
     comp = [c for c in finite_comps(example3) if not c.contractible][0]
@@ -286,7 +319,7 @@ def test_coefficients_have_power_of_two_denominators(mn, k, seed):
     words = balanced_words(*mn)
     for comp in components(cfg):
         rep = build_module(cfg, comp, comp.window)
-        values += [v for entries in rep.mats.values() for v in entries.values()]
+        values += [v for mat in rep.mats.values() for _, v in mat.items()]
         for word in words:
             scalar = casimir(rep, word).scalar
             if scalar is not None:

@@ -7,6 +7,7 @@ from conftest import staircase_band
 from vertexmod.configfile import parse
 from vertexmod.configuration import Configuration, VertexPath, from_paths, random_config
 from vertexmod.lattice import Lattice
+from vertexmod.linalg import MonomialMat
 from vertexmod.representation import build_module, casimir
 from vertexmod.topology import ColoringConflictError, components, overlay, subcomponents
 from vertexmod.unitarity import (
@@ -51,6 +52,29 @@ def test_face_sign(example2, lat52):
     assert all(SignTable(empty).sign(w) == 1 for w in range(-8, 9))
 
 
+@given(st.sampled_from([(1, 1), (2, 1), (1, 3), (3, 2), (5, 2), (5, 3), (4, 3)]),
+       st.integers(0, 3), st.integers(0, 10**6), st.lists(st.integers(-25, 25), max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_face_sign_matches_unit_block_phase(mn, k, seed, weights):
+    # queried in any order on both sides of 0, the memo gives the parity of
+    # the phase along |w| unit blocks from weight 0
+    cfg = random_config(Lattice(*mn), k, seed)
+    for w in weights:
+        block = cfg.lat.unit_blocks[1 if w >= 0 else -1]
+        assert cfg.face_sign(w) == (-1) ** path_phase2(cfg, block * abs(w))
+
+
+def test_unitarizability_reuses_the_face_signs(example3, example4):
+    # signature_direct fills the configuration's sign memo; the report's
+    # criterion (ii) reads the same memo and adds nothing to it
+    for cfg in (example3, example4):
+        for comp in finite_comps(cfg):
+            signature_direct(cfg, comp)
+            memo = {d: list(signs) for d, signs in cfg._signs.items()}
+            unitarizability_report(cfg, comp)
+            assert cfg._signs == memo
+
+
 def test_sign_consistency_examples(example2, lat52):
     assert check_sign_consistency(example2, (-8, 8), box=4, backtracks=8).ok
     assert check_sign_consistency(Configuration(lat52, {}), (-5, 5), box=3).ok
@@ -72,7 +96,9 @@ def test_gram_and_invariance_example2(example2):
 
 def test_negated_entry_fails_invariance(example2):
     rep = build_module(example2, components(example2)[0])
-    rep.mats["X1+"][(1, 2)] = rep.mats["X1+"][(1, 2)].times_rational(-1)
+    entries = dict(rep.mats["X1+"].items())
+    entries[(1, 2)] = entries[(1, 2)].times_rational(-1)
+    rep.mats["X1+"] = MonomialMat(rep.dim, entries)
     assert verify_invariance(rep).failures == ["form invariance fails for X1+-"]
 
 
@@ -90,7 +116,7 @@ def test_invariance_empty_window(lat52):
     assert gram_diag(rep) == [1] * rep.dim
     assert verify_invariance(rep).ok
     # with the identity form, the adjoint is plain conjugate transpose
-    assert adjoint_matrix(rep, "X1+") == rep.matrix("X1+").conj_transpose()
+    assert adjoint_matrix(rep, "X1+") == rep.mats["X1+"].conj_transpose()
 
 
 def test_adjoint_swaps_raising_and_lowering(example2, example1_d4):
@@ -98,9 +124,9 @@ def test_adjoint_swaps_raising_and_lowering(example2, example1_d4):
         for comp in finite_comps(cfg):
             rep = build_module(cfg, comp)
             for i in (1, 2):
-                assert adjoint_matrix(rep, f"X{i}+") == rep.matrix(f"X{i}-")
-                assert adjoint_matrix(rep, f"X{i}-") == rep.matrix(f"X{i}+")
-            assert adjoint_matrix(rep, "H") == rep.h_matrix()
+                assert adjoint_matrix(rep, f"X{i}+") == rep.mats[f"X{i}-"]
+                assert adjoint_matrix(rep, f"X{i}-") == rep.mats[f"X{i}+"]
+            assert adjoint_matrix(rep, "H") == rep.mats["H"]
 
 
 def test_signatures_example2(example2):
@@ -151,12 +177,11 @@ def test_signature_window_counts_the_module_window():
     for path in sorted(CONFIGS.glob("*.cfg")):
         cf = parse(path.read_text())
         cfg = cf.configuration()
-        table = SignTable(cfg)
         for comp in components(cfg):
             if comp.finite:
                 continue
             for window in ((-30, 30), (-80, 80)):
-                sig, partial = signature_window(cfg, comp, window, table, cf.involution)
+                sig, partial = signature_window(cfg, comp, window, cf.involution)
                 assert partial and sum(sig) == build_module(cfg, comp, window).dim
 
 
@@ -298,7 +323,7 @@ def test_numeric_invariance_at_unit_xi(example1_d4):
             minus = rep.mats[f"X{i}-"]
             for (r, c), v in plus.items():
                 lhs = v.value(xi).conjugate() * G[r]
-                rhs = G[c] * minus[(c, r)].value(xi)
+                rhs = G[c] * minus.entry(c, r).value(xi)
                 assert abs(lhs - rhs) < 1e-9
         res = casimir(rep, "12")
         assert abs(res.scalar.value(xi) - xi) < 1e-9
