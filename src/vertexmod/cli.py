@@ -53,6 +53,16 @@ def _component(cf: ConfigFile, comp_id: int):
     raise CliError(f"unknown component id {comp_id}; run 'components' to list them")
 
 
+def _window(args) -> tuple[int, int] | None:
+    """The --window pair A B, if given; A > B is a usage error."""
+    if not args.window:
+        return None
+    lo, hi = args.window
+    if lo > hi:
+        raise CliError(f"--window {lo} {hi} is inverted: A must not exceed B")
+    return lo, hi
+
+
 def _emit(args, obj: dict, human: str) -> None:
     if args.json:
         print(json.dumps(obj, sort_keys=True))
@@ -120,9 +130,9 @@ def cmd_components(args) -> int:
 
 
 def cmd_module(args) -> int:
+    window = _window(args)
     cf = _load(args.file)
     cfg, _, comp = _component(cf, args.component)
-    window = tuple(args.window) if args.window else None
     if not comp.finite and window is None:
         raise CliError("infinite component: pass --window A B")
     rep = build_module(cfg, comp, window=window)
@@ -156,10 +166,10 @@ def cmd_module(args) -> int:
 
 
 def cmd_signature(args) -> int:
+    window = _window(args)
     cf = _load(args.file)
     cfg, _, comp = _component(cf, args.component)
     if not comp.finite:
-        window = tuple(args.window) if args.window else None
         if window is None:
             raise CliError("infinite component: pass --window A B for partial counts")
         sig, partial = signature_window(cfg, comp, window, involution=cf.involution)
@@ -202,9 +212,9 @@ def cmd_signature(args) -> int:
 
 
 def cmd_casimir(args) -> int:
+    window = _window(args)
     cf = _load(args.file)
     cfg, _, comp = _component(cf, args.component)
-    window = tuple(args.window) if args.window else None
     if not comp.finite and window is None:
         raise CliError("infinite component: pass --window A B")
     rep = build_module(cfg, comp, window=window)

@@ -279,14 +279,14 @@ def order_support(cfg: Configuration, word: str) -> dict[int, int]:
 
 
 def order_product(cfg: Configuration, word: str, mu: int,
-                  support: dict[int, int] | None = None) -> Fraction:
-    """The polynomial prod (mu - lambda)^order(word, lambda) evaluated exactly."""
+                  support: dict[int, int] | None = None) -> int:
+    """The polynomial prod (mu - lambda)^order(word, lambda) at the integer mu."""
     if support is None:
         support = order_support(cfg, word)
     out = 1
     for lam, o in support.items():
         out *= (mu - lam) ** o
-    return Fraction(out)
+    return out
 
 
 @dataclass
@@ -317,19 +317,37 @@ def check_order_product(cfg: Configuration, word: str, window: tuple[int, int]) 
       the order polynomial is negative);
     * the total crossed multiplicity along the walk equals twice the loop
       order that ``order_support`` counts without walking.
+
+    One walk per weight does both: it sums the crossed multiplicities and
+    folds the square-root values into integers ``i^phase * num/den *
+    sqrt(root)``, joining roots by their gcd as ``Radical`` products do.
+    The product is a ``Radical`` again only for a message.
     """
     identity_failures, sign_failures, crossing_failures = [], [], []
     support = order_support(cfg, word)
     lo, hi = window
     checked = 0
     for mu in range(lo, hi + 1):
-        lhs = path_sqrt_product(cfg, word, mu)
-        rhs = order_product(cfg, word, mu, support)
-        if lhs != Radical.from_rational(rhs):
-            identity_failures.append(f"sqrt product != order product at {mu}: {lhs} vs {rhs}")
-        if rhs < 0 or lhs.phase % 4 != 0:
-            sign_failures.append(f"negative value at {mu}: {lhs}")
-        total = sum(cfg.mult_mid2(i, m2) for i, m2, _ in cfg.lat.walk(mu, word))
+        total, phase, num, den, root = 0, 0, 1, 1, 1
+        for i, mid2, _ in cfg.lat.walk(mu, word):
+            total += cfg.mult_mid2(i, mid2)
+            if num:
+                q = cfg.sqrt_value(i, mid2)
+                g = gcd(root, q.root)
+                phase, root = phase + q.phase, (root // g) * (q.root // g)
+                num, den = num * q.coeff.numerator * g, den * q.coeff.denominator
+        op = order_product(cfg, word, mu, support)
+        # num/den is unreduced; equal to op iff both vanish or it is the
+        # rational |op| with the sign of op
+        equal = num == abs(op) * den and (
+            num == 0 or (root == 1 and phase % 4 == (0 if op > 0 else 2)))
+        negative = op < 0 or (num != 0 and phase % 4 != 0)
+        if not equal or negative:
+            lhs = path_sqrt_product(cfg, word, mu)
+            if not equal:
+                identity_failures.append(f"sqrt product != order product at {mu}: {lhs} vs {op}")
+            if negative:
+                sign_failures.append(f"negative value at {mu}: {lhs}")
         if total != 2 * support.get(mu, 0):
             crossing_failures.append(f"total crossings != 2 * order at {mu}")
         checked += 1
@@ -383,11 +401,7 @@ def casimir(rep: ModuleRep, word: str) -> CasimirResult:
     """
     cfg = rep.cfg
     support = order_support(cfg, word)
-    cols = {}
-    for c in "12":
-        cols[c] = [col and (col[0], col[1].xi_exp, col[1].phase, col[1].coeff.numerator,
-                            col[1].coeff.denominator, col[1].root)
-                   for col in rep.mats[f"X{c}+"].cols]
+    cols = {c: rep.mats[f"X{c}+"].int_cols() for c in "12"}
     chain = [cols[c] for c in word]
     determinate, indeterminate, scalars = [], [], set()
     for j, w in enumerate(rep.weights):
@@ -404,13 +418,16 @@ def casimir(rep: ModuleRep, word: str) -> CasimirResult:
             if r != j:
                 raise AssertionError("balanced loop operator is not diagonal")
             determinate.append(w)
-            op = order_product(cfg, word, w, support).numerator
+            op = order_product(cfg, word, w, support)
             phase += 2 if op < 0 else 0
-            scalars.add(Radical(k, phase % 4, Fraction(num, den * abs(op)), root))
+            den *= abs(op)
+            g = gcd(num, den)
+            scalars.add((k, phase % 4, num // g, den // g, root))
     if rep.comp.contractible and determinate:
         raise AssertionError("loop operator does not vanish on a contractible component")
-    if len(scalars) > 1:
-        raise AssertionError(f"casimir ratio is not scalar: {sorted(str(v) for v in scalars)}")
-    scalar = Radical.zero() if rep.comp.contractible else next(iter(scalars), None)
+    values = [Radical(k, p, Fraction(n, d), s) for k, p, n, d, s in scalars]
+    if len(values) > 1:
+        raise AssertionError(f"casimir ratio is not scalar: {sorted(str(v) for v in values)}")
+    scalar = Radical.zero() if rep.comp.contractible else next(iter(values), None)
     return CasimirResult(word=word, scalar=scalar, determinate=determinate,
                          indeterminate=indeterminate)

@@ -79,7 +79,10 @@ class Radical:
 
     @classmethod
     def from_rational(cls, q) -> "Radical":
-        return cls.make(coeff=Fraction(q))
+        q = Fraction(q)
+        if q == 0:
+            return cls.zero()
+        return cls(0, 0 if q > 0 else 2, abs(q), 1)
 
     @classmethod
     def sqrt_rational(cls, r, phase: int = 0, xi_exp: int = 0) -> "Radical":

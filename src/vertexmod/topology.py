@@ -193,13 +193,26 @@ def components(cfg: Configuration) -> list[Component]:
 def window_flood(cfg: Configuration, comp: Component, lo: int, hi: int):
     """Component faces inside [lo, hi], lifted consistently with comp.lifts.
 
-    Returns the sorted weights and their lifts.
+    The fill starts from the enumerated faces in the window.  A window that
+    holds none of them but lies beyond ``comp.window`` on the component's
+    infinite side is reached from the nearest enumerated face, through the
+    gap: the fill runs over the hull of that face and the window, and keeps
+    the faces inside the window.  Returns the sorted weights and their lifts.
     """
-    moves = lift_moves(cfg, lo, hi, [])
+    seeds = sorted(w for w in comp.weights if lo <= w <= hi)
+    fill_lo, fill_hi = lo, hi
+    if not seeds and comp.window is not None:
+        wlo, whi = comp.window
+        if lo > whi and whi in comp.weights:
+            seeds, fill_lo = [whi], whi
+        elif hi < wlo and wlo in comp.weights:
+            seeds, fill_hi = [wlo], wlo
+    moves = lift_moves(cfg, fill_lo, fill_hi, [])
     lifts: dict[int, tuple[int, int]] = {}
-    for s in sorted(w for w in comp.weights if lo <= w <= hi):
+    for s in seeds:
         if s not in lifts:
             lifts.update(flood(s, comp.lifts[s], moves)[0])
+    lifts = {w: v for w, v in lifts.items() if lo <= w <= hi}
     return sorted(lifts), lifts
 
 

@@ -75,6 +75,25 @@ def test_module_window_for_infinite(ex2_file, capsys):
     assert main(["module", ex2_file, "--component", "2", "--window", "-8", "-2"]) == 0
 
 
+@pytest.mark.parametrize("command", ["module", "signature", "casimir"])
+@pytest.mark.parametrize("form", [[], ["--json"]])
+def test_inverted_window_is_a_usage_error(ex2_file, capsys, command, form):
+    argv = [command, ex2_file, "--component", "2", "--window", "5", "-5", *form]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --window 5 -5 is inverted: A must not exceed B\n"
+
+
+def test_far_window_for_infinite(ex2_file, capsys):
+    # component 3 is enumerated as 3..16; the window lies far above it
+    window = ["--component", "3", "--window", "100", "120", "--json"]
+    assert main(["module", ex2_file, *window]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 21
+    assert main(["signature", ex2_file, *window]) == 0
+    assert json.loads(capsys.readouterr().out)["signature_window"] == [0, 21]
+
+
 def test_signature_command(ex2_file, capsys):
     assert main(["signature", ex2_file, "--component", "0", "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)

@@ -223,6 +223,22 @@ def test_mte_conclusive_at_high_multiplicity():
     assert broken.mte_violations("q") != []
 
 
+def test_mte_violations_outside_the_support_span():
+    # non-conservative configurations whose violations reach past the
+    # support span on both sides: the scan margin is what finds them
+    lat = Lattice(3, 2)
+    lone = from_edges(lat, [(Edge("V", 0, 0), 1)])
+    assert lone.support_mid2_range() == (-2, -2)
+    for mode in ("P", "q"):
+        assert [lat.vertex_val2(v) for v in lone.mte_violations(mode)] == list(range(-11, 8, 2))
+    # two edges far apart: the span alone exceeds the degree, so no
+    # widening of the window makes up for a missing margin
+    pair = from_edges(lat, [(Edge("V", 0, 0), 1), (Edge("V", 0, 4), 1)])
+    assert pair.support_mid2_range() == (-2, 22)
+    for mode in ("P", "q"):
+        assert [lat.vertex_val2(v) for v in pair.mte_violations(mode)] == list(range(-11, 32, 2))
+
+
 def test_max_area_path():
     assert max_area_path(Lattice(5, 2)).steps == "2211111"
     assert max_area_path(Lattice(1, 1)).steps == "21"

@@ -1,7 +1,8 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import staircase_band
 from vertexmod import representation
@@ -204,6 +205,77 @@ def test_crossing_check_catches_a_shifted_order(example1_d4, monkeypatch):
     assert not report.identity_ok
 
 
+def _vertical_support(cfg, word):
+    """order_support without its crossing-count check, which a
+    non-conservative configuration fails: the vertical crossings only."""
+    counts = Counter()
+    for i, off, _ in cfg.lat.walk(0, word):
+        if i == 1:
+            counts.update((e2 - off) // 2 for e2 in cfg.poly_roots(1) if (e2 - off) % 2 == 0)
+    return dict(sorted(counts.items()))
+
+
+def _reference_order_report(cfg, word, window):
+    # the loop check written with Radical products, message for message
+    support = representation.order_support(cfg, word)
+    identity, sign, crossing = [], [], []
+    for mu in range(window[0], window[1] + 1):
+        lhs = path_sqrt_product(cfg, word, mu)
+        rhs = order_product(cfg, word, mu, support)
+        if lhs != Radical.from_rational(rhs):
+            identity.append(f"sqrt product != order product at {mu}: {lhs} vs {rhs}")
+        if rhs < 0 or lhs.phase % 4 != 0:
+            sign.append(f"negative value at {mu}: {lhs}")
+        total = sum(cfg.mult_mid2(i, m2) for i, m2, _ in cfg.lat.walk(mu, word))
+        if total != 2 * support.get(mu, 0):
+            crossing.append(f"total crossings != 2 * order at {mu}")
+    return identity, sign, crossing, window[1] - window[0] + 1
+
+
+extra_edges = st.lists(st.tuples(st.sampled_from("VH"), st.integers(0, 4), st.integers(-3, 3),
+                                 st.integers(1, 2)), max_size=2)
+
+
+@given(wide_lattices, st.integers(0, 2), st.integers(0, 10**6), extra_edges, st.integers(0, 34))
+@example((3, 2), 0, 0, [("V", 0, 0, 1)], 0)
+@settings(max_examples=40, deadline=None)
+def test_check_order_product_matches_reference(mn, k, seed, extra, word_index):
+    # extra edges make the configuration non-conservative, so the identity
+    # fails at some weights; order_support's crossing check refuses every
+    # such configuration, so both sides then count the vertical crossings
+    lat = Lattice(*mn)
+    base = random_config(lat, k, seed)
+    cfg = from_edges(lat, list(base.edges.items())
+                     + [(Edge(kind, x % lat.m, y), mult) for kind, x, y, mult in extra])
+    words = balanced_words(*mn)
+    word = words[word_index % len(words)]
+    window = (-12, 12)
+    with pytest.MonkeyPatch.context() as mp:
+        if cfg.conservation_violations():
+            mp.setattr(representation, "order_support", _vertical_support)
+        report = check_order_product(cfg, word, window)
+        expected = _reference_order_report(cfg, word, window)
+    assert (report.identity_failures, report.sign_failures, report.crossing_failures,
+            report.checked) == expected
+
+
+def test_order_product_builds_radicals_only_for_messages(example1_d4, monkeypatch):
+    # the loop product is folded in integers; path_sqrt_product runs once
+    # for each weight that has a message, and Radical products only there
+    real, calls = representation.path_sqrt_product, []
+
+    def counting(cfg, word, mu):
+        calls.append(mu)
+        return real(cfg, word, mu)
+
+    monkeypatch.setattr(representation, "path_sqrt_product", counting)
+    report = check_order_product(example1_d4, "12", (-20, 20))
+    flagged = {int(f.split(":")[0].split()[-1])
+               for f in report.identity_failures + report.sign_failures}
+    assert flagged and len(flagged) < report.checked
+    assert calls == sorted(flagged)
+
+
 def test_relations_on_examples(example2, example3, example4, example1_d4):
     for cfg in (example2, example3, example4, example1_d4):
         for comp in finite_comps(cfg):
@@ -287,6 +359,42 @@ def test_casimir_builds_no_matrices(example3, monkeypatch):
     assert calls == []
 
 
+class _CountingCols(MonomialMat):
+    """A MonomialMat that counts reads of its column tuple."""
+
+    reads = 0
+
+    @property
+    def cols(self):
+        self.reads += 1
+        return MonomialMat.cols.__get__(self)
+
+    @cols.setter
+    def cols(self, value):
+        MonomialMat.cols.__set__(self, value)
+
+
+def test_casimir_reads_each_matrix_once(example3):
+    # the integer column view is built once per matrix, not once per word
+    rep = build_module(example3, finite_comps(example3)[1])
+    for gen in ("X1+", "X2+"):
+        rep.mats[gen] = _CountingCols._from_cols(rep.mats[gen].cols)
+    for word in balanced_words(5, 2):
+        casimir(rep, word)
+    assert [rep.mats[g].reads for g in ("X1+", "X2+")] == [1, 1]
+
+
+def test_casimir_not_scalar_message(example3):
+    # one corrupted X1+ entry: the faces whose loop crosses it disagree
+    # with the others
+    comp = [c for c in finite_comps(example3) if not c.contractible][0]
+    rep = build_module(example3, comp)
+    corrupt(rep, "X1+", (0, 2), lambda v: v.times_rational(Fraction(-2, 3)))
+    with pytest.raises(AssertionError) as exc:
+        casimir(rep, "1111122")
+    assert str(exc.value) == "casimir ratio is not scalar: ['xi^1 * 1', 'xi^1 * i^2 * 2/3']"
+
+
 def test_casimir_unitary(example3):
     # form-adjoint of the Casimir matrix times itself is the identity
     comp = [c for c in finite_comps(example3) if not c.contractible][0]
@@ -347,7 +455,7 @@ def test_casimir_matches_loop_matrix(mn, k, seed):
                                  for i, mid2, cur in cfg.lat.walk(w, word))]
             assert res.determinate == determinate == walked
             assert res.indeterminate == [w for w in rep.weights if diag[w].is_zero]
-            ratios = {diag[w].times_rational(1 / order_product(cfg, word, w))
+            ratios = {diag[w].times_rational(Fraction(1, order_product(cfg, word, w)))
                       for w in determinate}
             assert len(ratios) <= 1
             if comp.contractible:

@@ -180,9 +180,24 @@ def test_signature_window_counts_the_module_window():
         for comp in components(cfg):
             if comp.finite:
                 continue
-            for window in ((-30, 30), (-80, 80)):
+            lo, hi = comp.window
+            far = (hi + 84, hi + 104) if hi in comp.weights else (lo - 104, lo - 84)
+            for window in ((-30, 30), (-80, 80), far):
                 sig, partial = signature_window(cfg, comp, window, cf.involution)
-                assert partial and sum(sig) == build_module(cfg, comp, window).dim
+                assert partial and sum(sig) == build_module(cfg, comp, window).dim > 0
+
+
+def test_far_window_reaches_the_component(example2):
+    # a window past the enumerated weights (3..16 here) is filled through
+    # the gap; above the support every face has the same sign
+    comp = components(example2)[3]
+    rep = build_module(example2, comp, (100, 120))
+    assert rep.dim == 21 and rep.weights == list(range(100, 121))
+    assert signature_window(example2, comp, (100, 120)) == ((0, 21), True)
+    assert {example2.face_sign(w) for w in rep.weights} == {-1}
+    # the other end of the cylinder belongs to another component
+    with pytest.raises(ValueError, match="does not meet component 3"):
+        build_module(example2, comp, (-120, -100))
 
 
 @given(lattices, st.integers(1, 3), st.integers(0, 10**6))
