@@ -1,22 +1,23 @@
 #!/usr/bin/env python3
 """Time the end-to-end rows of the vertexmod benchmark trajectory.
 
-    python3 scripts/bench.py --out BENCH_<n>.json [--runs N] [--perf-runs M]
-                             [--seconds S] [--seed K]
+    python3 scripts/bench.py --out BENCH_<n>.json
 
 Run from the root of a source checkout; the package is imported from
 ``src/``.  Every row runs in a fresh interpreter:
 
-* the command rows are the median wall time of N runs each of
+* the command rows are the median wall time of RUNS runs each of
   ``scripts/reproduce_examples.py``, ``vertexmod catalog 5 2 2 --samples
   1000``, ``scripts/fuzz_identities.py`` and the criterion-7 order-product
   scan (``pytest tests/test_acceptance.py -k criterion_07``);
-* the perfbench rows are the median of M runs of ``perfbench/run.py
-  --trace 0`` per workload, one value per end-to-end metric.
+* the perfbench rows are the median of PERF_RUNS runs of ``perfbench/run.py
+  --seconds SECONDS --seed SEED --trace 0`` per workload, one value per
+  end-to-end metric.
 
-The record also names the Python version, the CPU model and the git
-revision, so that records from different commits can be compared when they
-come from the same machine.
+The run counts, length and seed are fixed so that every record is made
+under the same settings.  The record also names the Python version, the CPU
+model and the git revision, so that records from different commits can be
+compared when they come from the same machine.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("catalog", "identities", "analyze")
+RUNS, PERF_RUNS, SECONDS, SEED = 5, 3, 20, 0
 
 
 def _env() -> dict:
@@ -55,10 +57,10 @@ def _command_rows(tmp: Path) -> dict[str, list[str]]:
     }
 
 
-def time_command(cmd: list[str], runs: int, tmp: Path) -> dict:
-    """Median wall time of ``runs`` runs; a failing run stops the script."""
+def time_command(cmd: list[str], tmp: Path) -> dict:
+    """Median wall time of RUNS runs; a failing run stops the script."""
     times = []
-    for _ in range(runs):
+    for _ in range(RUNS):
         for leftover in tmp.iterdir():
             leftover.unlink()
         start = time.perf_counter()
@@ -67,12 +69,12 @@ def time_command(cmd: list[str], runs: int, tmp: Path) -> dict:
     return {"median_s": statistics.median(times), "runs_s": times}
 
 
-def perfbench(workload: str, runs: int, seconds: int, seed: int) -> dict:
-    """Per end-to-end metric, the median over ``runs`` perfbench runs."""
+def perfbench(workload: str) -> dict:
+    """Per end-to-end metric, the median over PERF_RUNS perfbench runs."""
     results = []
-    for _ in range(runs):
+    for _ in range(PERF_RUNS):
         out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                              "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                              "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"],
                              cwd=ROOT, check=True, capture_output=True, text=True).stdout
         results.append(json.loads(out.strip().splitlines()[-1]))
     metrics = {}
@@ -82,7 +84,7 @@ def perfbench(workload: str, runs: int, seconds: int, seed: int) -> dict:
                          "runs": values}
     failed = sum(r["failed"] for r in results)
     attempted = sum(r["attempted"] for r in results)
-    return {"seed": seed, "seconds": seconds, "correct": all(r["correct"] for r in results),
+    return {"seed": SEED, "seconds": SECONDS, "correct": all(r["correct"] for r in results),
             "error_rate": failed / attempted if attempted else 0.0, "metrics": metrics}
 
 
@@ -106,28 +108,22 @@ def git_revision() -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", required=True, help="record file to write, e.g. BENCH_<n>.json")
-    ap.add_argument("--runs", type=int, default=5, help="runs per command row")
-    ap.add_argument("--perf-runs", type=int, default=3, help="perfbench runs per workload")
-    ap.add_argument("--seconds", type=int, default=20, help="perfbench run length")
-    ap.add_argument("--seed", type=int, default=0, help="perfbench workload seed")
     args = ap.parse_args(argv)
-    if args.runs < 1 or args.perf_runs < 1 or args.seconds <= 0:
-        ap.error("--runs and --perf-runs must be at least 1, --seconds positive")
     record = {
         "python": platform.python_version(),
         "cpu": cpu_model(),
         "cores": os.cpu_count(),
         "revision": git_revision(),
-        "runs": args.runs,
+        "runs": RUNS,
         "commands": {},
         "perfbench": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
         for name, cmd in _command_rows(Path(tmp)).items():
-            record["commands"][name] = row = time_command(cmd, args.runs, Path(tmp))
-            print(f"{name}: median {row['median_s']:.3f} s over {args.runs} runs", flush=True)
+            record["commands"][name] = row = time_command(cmd, Path(tmp))
+            print(f"{name}: median {row['median_s']:.3f} s over {RUNS} runs", flush=True)
     for w in WORKLOADS:
-        record["perfbench"][w] = row = perfbench(w, args.perf_runs, args.seconds, args.seed)
+        record["perfbench"][w] = row = perfbench(w)
         shown = ", ".join(f"{k} {m['median']:.4g} {m['unit']}" for k, m in row["metrics"].items())
         print(f"perfbench {w}: {shown}", flush=True)
     Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")

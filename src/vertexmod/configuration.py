@@ -211,18 +211,27 @@ class Configuration:
         """The global sign of the face of weight w.
 
         The memo grows outward from weight 0, one unit block per weight:
-        the sign flips when the block crosses an odd total above-count.
+        the sign flips when the block crosses an odd total above-count.  A
+        block from a face past the support crosses only edges on one side
+        of it, so all those blocks flip alike.  The memo stops one block
+        after the first of them, and farther signs follow by parity.
         """
         d = 1 if w >= 0 else -1
-        signs = self._signs[d]
-        if len(signs) <= d * w:
+        signs, j = self._signs[d], d * w
+        if j >= len(signs):
+            # the first index whose block lies past the support
+            far = max([0, *(d * mids[-1 if d > 0 else 0] // 2 + 1
+                            for mids in self._sorted.values() if mids)])
             walk, block = self.lat.walk, self.lat.unit_blocks[d]
             sign = signs[-1]
-            for cur in range(d * (len(signs) - 1), w, d):
+            for cur in range(d * (len(signs) - 1), d * min(j, far + 1), d):
                 if sum(self.count_above(i, mid2) for i, mid2, _ in walk(cur, block)) % 2:
                     sign = -sign
                 signs.append(sign)
-        return signs[d * w]
+            if j > far + 1:
+                flips = signs[far + 1] != signs[far]
+                return -signs[far] if flips and (j - far) % 2 else signs[far]
+        return signs[j]
 
     # -- vertex factorization identity --------------------------------------
 

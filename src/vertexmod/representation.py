@@ -320,8 +320,9 @@ def check_order_product(cfg: Configuration, word: str, window: tuple[int, int]) 
 
     One walk per weight does both: it sums the crossed multiplicities and
     folds the square-root values into integers ``i^phase * num/den *
-    sqrt(root)``, joining roots by their gcd as ``Radical`` products do.
-    The product is a ``Radical`` again only for a message.
+    sqrt(root)``, joining roots by their gcd as ``Radical`` products do, so
+    the root stays squarefree.  The product is a ``Radical`` only for a
+    message.
     """
     identity_failures, sign_failures, crossing_failures = [], [], []
     support = order_support(cfg, word)
@@ -343,7 +344,7 @@ def check_order_product(cfg: Configuration, word: str, window: tuple[int, int]) 
             num == 0 or (root == 1 and phase % 4 == (0 if op > 0 else 2)))
         negative = op < 0 or (num != 0 and phase % 4 != 0)
         if not equal or negative:
-            lhs = path_sqrt_product(cfg, word, mu)
+            lhs = Radical(0, phase % 4, Fraction(num, den), root) if num else Radical.zero()
             if not equal:
                 identity_failures.append(f"sqrt product != order product at {mu}: {lhs} vs {op}")
             if negative:

@@ -196,23 +196,31 @@ def window_flood(cfg: Configuration, comp: Component, lo: int, hi: int):
     The fill starts from the enumerated faces in the window.  A window that
     holds none of them but lies beyond ``comp.window`` on the component's
     infinite side is reached from the nearest enumerated face, through the
-    gap: the fill runs over the hull of that face and the window, and keeps
-    the faces inside the window.  Returns the sorted weights and their lifts.
+    gap.  Every edge there is free, so the fill commutes with beta steps:
+    the window is moved by whole beta steps to within m + n - 1 of that
+    face (a free band that wide is connected), filled over the hull of the
+    face and the moved window, and moved back.  Returns the sorted weights
+    and their lifts.
     """
     seeds = sorted(w for w in comp.weights if lo <= w <= hi)
-    fill_lo, fill_hi = lo, hi
+    beta = cfg.lat.beta  # the X2+ step, lift (0, 1)
+    k, fill_lo, fill_hi = 0, lo, hi
     if not seeds and comp.window is not None:
         wlo, whi = comp.window
+        reach = cfg.lat.m + cfg.lat.n - 1
         if lo > whi and whi in comp.weights:
-            seeds, fill_lo = [whi], whi
+            k = max(0, (lo - whi - reach) // beta)
+            seeds, fill_lo, fill_hi = [whi], whi, hi - k * beta
         elif hi < wlo and wlo in comp.weights:
-            seeds, fill_hi = [wlo], wlo
+            k = -max(0, (wlo - hi - reach) // beta)
+            seeds, fill_lo, fill_hi = [wlo], lo - k * beta, wlo
     moves = lift_moves(cfg, fill_lo, fill_hi, [])
     lifts: dict[int, tuple[int, int]] = {}
     for s in seeds:
         if s not in lifts:
             lifts.update(flood(s, comp.lifts[s], moves)[0])
-    lifts = {w: v for w, v in lifts.items() if lo <= w <= hi}
+    lifts = {w + k * beta: (x, y + k) for w, (x, y) in lifts.items()
+             if lo <= w + k * beta <= hi}
     return sorted(lifts), lifts
 
 

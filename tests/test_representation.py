@@ -260,20 +260,21 @@ def test_check_order_product_matches_reference(mn, k, seed, extra, word_index):
 
 
 def test_order_product_builds_radicals_only_for_messages(example1_d4, monkeypatch):
-    # the loop product is folded in integers; path_sqrt_product runs once
-    # for each weight that has a message, and Radical products only there
-    real, calls = representation.path_sqrt_product, []
+    # the loop product is folded in integers: no Radical product is formed,
+    # not even for a message, and the messages match the Radical-product
+    # reference
+    expected = _reference_order_report(example1_d4, "12", (-20, 20))
+    real, calls = Radical.__mul__, []
 
-    def counting(cfg, word, mu):
-        calls.append(mu)
-        return real(cfg, word, mu)
+    def counting(self, other):
+        calls.append(other)
+        return real(self, other)
 
-    monkeypatch.setattr(representation, "path_sqrt_product", counting)
+    monkeypatch.setattr(Radical, "__mul__", counting)
     report = check_order_product(example1_d4, "12", (-20, 20))
-    flagged = {int(f.split(":")[0].split()[-1])
-               for f in report.identity_failures + report.sign_failures}
-    assert flagged and len(flagged) < report.checked
-    assert calls == sorted(flagged)
+    assert report.sign_failures and calls == []
+    assert (report.identity_failures, report.sign_failures, report.crossing_failures,
+            report.checked) == expected
 
 
 def test_relations_on_examples(example2, example3, example4, example1_d4):

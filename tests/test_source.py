@@ -17,6 +17,7 @@ TEST_ONLY = {
     "vertex_val2": "doubled vertex value, the reference for vertex_of_val2",
     "loop_matrix": "the balanced loop operator as a matrix product, the Casimir reference",
     "path_poly_product": "edge polynomial product along a face path, the adjoint-identity reference",
+    "path_sqrt_product": "square-root value product along a face path, the order-product reference",
     "as_rational": "exact rational value of a Radical, a reference conversion",
     "sqrt_rational": "principal square root of a rational, the reference for sqrt_value",
     "times_rational": "Radical times a rational, used by the Casimir reference ratio",

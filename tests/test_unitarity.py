@@ -9,7 +9,13 @@ from vertexmod.configuration import Configuration, VertexPath, from_paths, rando
 from vertexmod.lattice import Lattice
 from vertexmod.linalg import MonomialMat
 from vertexmod.representation import build_module, casimir
-from vertexmod.topology import ColoringConflictError, components, overlay, subcomponents
+from vertexmod.topology import (
+    ColoringConflictError,
+    components,
+    overlay,
+    subcomponents,
+    window_flood,
+)
 from vertexmod.unitarity import (
     SignTable,
     adjoint_matrix,
@@ -53,11 +59,12 @@ def test_face_sign(example2, lat52):
 
 
 @given(st.sampled_from([(1, 1), (2, 1), (1, 3), (3, 2), (5, 2), (5, 3), (4, 3)]),
-       st.integers(0, 3), st.integers(0, 10**6), st.lists(st.integers(-25, 25), max_size=12))
+       st.integers(0, 3), st.integers(0, 10**6), st.lists(st.integers(-60, 60), max_size=12))
 @settings(max_examples=40, deadline=None)
 def test_face_sign_matches_unit_block_phase(mn, k, seed, weights):
-    # queried in any order on both sides of 0, the memo gives the parity of
-    # the phase along |w| unit blocks from weight 0
+    # queried in any order on both sides of 0, also past the support where
+    # the memo stops, face_sign gives the parity of the phase along |w|
+    # unit blocks from weight 0
     cfg = random_config(Lattice(*mn), k, seed)
     for w in weights:
         block = cfg.lat.unit_blocks[1 if w >= 0 else -1]
@@ -181,8 +188,9 @@ def test_signature_window_counts_the_module_window():
             if comp.finite:
                 continue
             lo, hi = comp.window
-            far = (hi + 84, hi + 104) if hi in comp.weights else (lo - 104, lo - 84)
-            for window in ((-30, 30), (-80, 80), far):
+            far = [(hi + d, hi + d + 20) if hi in comp.weights else (lo - d - 20, lo - d)
+                   for d in (84, 10**6)]
+            for window in ((-30, 30), (-80, 80), *far):
                 sig, partial = signature_window(cfg, comp, window, cf.involution)
                 assert partial and sum(sig) == build_module(cfg, comp, window).dim > 0
 
@@ -195,6 +203,14 @@ def test_far_window_reaches_the_component(example2):
     assert rep.dim == 21 and rep.weights == list(range(100, 121))
     assert signature_window(example2, comp, (100, 120)) == ((0, 21), True)
     assert {example2.face_sign(w) for w in rep.weights} == {-1}
+    # there the fill commutes with beta steps: a window a million beta
+    # steps farther out is this one moved, lifts included, and costs no
+    # more to fill
+    b, k = example2.lat.beta, 10**6
+    far = (100 + k * b, 120 + k * b)
+    assert window_flood(example2, comp, *far)[1] == {
+        w + k * b: (x, y + k) for w, (x, y) in rep.lifts.items()}
+    assert signature_window(example2, comp, far) == ((0, 21), True)
     # the other end of the cylinder belongs to another component
     with pytest.raises(ValueError, match="does not meet component 3"):
         build_module(example2, comp, (-120, -100))
