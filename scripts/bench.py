@@ -12,7 +12,10 @@ Run from the root of a source checkout; the package is imported from
   scan (``pytest tests/test_acceptance.py -k criterion_07``);
 * the perfbench rows are the median of PERF_RUNS runs of ``perfbench/run.py
   --seconds SECONDS --seed SEED --trace 0`` per workload, one value per
-  end-to-end metric.
+  end-to-end metric;
+* next to them, the per-layer rows of one ``--trace 1`` run per workload at
+  the same seed and length: each layer's time and call count, the exact
+  counters and the tracing overhead.
 
 The run counts, length and seed are fixed so that every record is made
 under the same settings.  The record also names the Python version, the CPU
@@ -69,14 +72,18 @@ def time_command(cmd: list[str], tmp: Path) -> dict:
     return {"median_s": statistics.median(times), "runs_s": times}
 
 
+def _perfbench_run(workload: str, trace: int) -> dict:
+    """The result object of one perfbench run at SEED for SECONDS."""
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                          "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)],
+                         cwd=ROOT, check=True, capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
 def perfbench(workload: str) -> dict:
-    """Per end-to-end metric, the median over PERF_RUNS perfbench runs."""
-    results = []
-    for _ in range(PERF_RUNS):
-        out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                              "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"],
-                             cwd=ROOT, check=True, capture_output=True, text=True).stdout
-        results.append(json.loads(out.strip().splitlines()[-1]))
+    """Per end-to-end metric, the median over PERF_RUNS perfbench runs; then
+    the per-layer metrics of one traced run."""
+    results = [_perfbench_run(workload, 0) for _ in range(PERF_RUNS)]
     metrics = {}
     for name, first in results[0]["metrics"].items():
         values = [r["metrics"][name]["value"] for r in results]
@@ -84,8 +91,12 @@ def perfbench(workload: str) -> dict:
                          "runs": values}
     failed = sum(r["failed"] for r in results)
     attempted = sum(r["attempted"] for r in results)
-    return {"seed": SEED, "seconds": SECONDS, "correct": all(r["correct"] for r in results),
-            "error_rate": failed / attempted if attempted else 0.0, "metrics": metrics}
+    traced = _perfbench_run(workload, 1)
+    per_layer = {name: m["value"] for name, m in traced["metrics"].items()}
+    return {"seed": SEED, "seconds": SECONDS,
+            "correct": all(r["correct"] for r in [*results, traced]),
+            "error_rate": failed / attempted if attempted else 0.0, "metrics": metrics,
+            "per_layer": per_layer}
 
 
 def cpu_model() -> str:

@@ -17,7 +17,7 @@ from .configfile import ConfigFile, ParseError, parse
 from .configuration import random_config
 from .lattice import Lattice
 from .representation import balanced_words, build_module, casimir, verify_relations
-from .topology import components
+from .topology import EmptyWindowError, components
 from .unitarity import (
     dual_invariants,
     signature_direct,
@@ -371,6 +371,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except EmptyWindowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
     except (ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL

@@ -103,6 +103,8 @@ class Configuration:
         # memoized edge values, keyed by (orientation, doubled midpoint)
         self._poly: dict[tuple[int, int], Fraction] = {}
         self._sqrt: dict[tuple[int, int], Radical] = {}
+        # loop-order weights per crossing offset, keyed by (orientation, offset)
+        self._offsets: dict[tuple[int, int], list[int]] = {}
         # face signs at weights 0, d, 2d, ... for each direction d = +-1
         self._signs: dict[int, list[int]] = {1: [1], -1: [1]}
 
@@ -113,9 +115,6 @@ class Configuration:
 
     def mult_mid2(self, i: int, mid2: int) -> int:
         return self._mid2[i].get(mid2, 0)
-
-    def is_empty(self) -> bool:
-        return not self.edges
 
     def support_mid2_range(self) -> tuple[int, int] | None:
         """Min and max doubled midpoint over the whole support, or None."""
@@ -176,6 +175,21 @@ class Configuration:
                 num *= (u2 - m) ** self._mid2[i][m]
             val = self._poly[i, u2] = Fraction(num, 2 ** self.total_multiplicity(i))
         return val
+
+    def root_offsets(self, i: int, off: int) -> list[int]:
+        """(e2 - off) // 2 for every orientation-i root e2, with multiplicity.
+
+        These are the weights whose loop crosses a supported edge where the
+        loop from weight 0 crosses doubled midpoint ``off``.  An
+        orientation-i crossing has the parity of every orientation-i root
+        (``Lattice.edge_mid2`` and ``Lattice.walk`` both give alpha mod 2
+        for orientation 1 and beta mod 2 for orientation 2), so the halving
+        is exact.
+        """
+        got = self._offsets.get((i, off))
+        if got is None:
+            got = self._offsets[i, off] = [(e2 - off) // 2 for e2 in self.poly_roots(i)]
+        return got
 
     def count_above(self, i: int, mid2: int) -> int:
         """Total multiplicity of orientation-i support strictly above mid2."""
@@ -292,19 +306,6 @@ def from_edges(lat: Lattice, entries: list[tuple[Edge, int]]) -> Configuration:
         ce = lat.canonical_edge(e)
         mult[ce] = mult.get(ce, 0) + k
     return Configuration(lat, mult)
-
-
-def max_area_path(lat: Lattice, start: tuple[int, int] = (0, 0)) -> VertexPath:
-    """The staircase with all up steps first: n twos then m ones."""
-    return VertexPath(start, "2" * lat.n + "1" * lat.m)
-
-
-def flip_corner(path: VertexPath, idx: int) -> VertexPath:
-    """Replace the "21" at position idx by "12" (a corner flip move)."""
-    s = path.steps
-    if s[idx : idx + 2] != "21":
-        raise ValueError(f"no '21' corner at position {idx} of {s!r}")
-    return VertexPath(path.start, s[:idx] + "12" + s[idx + 2 :])
 
 
 def random_config(lat: Lattice, k: int, seed) -> Configuration:

@@ -110,10 +110,6 @@ class Lattice:
 
     # -- weights ---------------------------------------------------------
 
-    def face_weight(self, f) -> int:
-        x, y = f
-        return x * self.alpha + y * self.beta
-
     def edge_mid2(self, e: Edge) -> int:
         """Doubled midpoint weight of an edge."""
         kind, x, y = e
@@ -123,10 +119,6 @@ class Lattice:
         if kind == HORIZONTAL:
             return base + self.beta
         raise ValueError(f"bad edge kind {kind!r}")
-
-    def vertex_val2(self, v) -> int:
-        x, y = v
-        return 2 * (x * self.alpha + y * self.beta) + self.alpha + self.beta
 
     def walk(self, w: int, tokens):
         """Yield (orientation, doubled midpoint, next weight) per crossed edge.

@@ -61,6 +61,8 @@ class ModuleRep:
     mats: dict[str, MonomialMat]  # X1+, X1-, X2+, X2- and H
     window: tuple[int, int] | None = None
     _index: dict[int, int] = field(default_factory=dict, repr=False)
+    # casimir's chain states, built on its first call
+    _chain: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self._index = {w: i for i, w in enumerate(self.weights)}
@@ -101,8 +103,6 @@ def build_module(cfg: Configuration, comp: Component, window: tuple[int, int] | 
             raise ValueError("an infinite component needs an explicit weight window")
         lo, hi = window
         basis, lifts = window_flood(cfg, comp, lo, hi)
-        if not basis:
-            raise ValueError(f"window {window} does not meet component {comp.id}")
     lat = cfg.lat
     idx = {w: i for i, w in enumerate(basis)}
     entries: dict[str, dict[tuple[int, int], Radical]] = {g: {} for g in GENERATORS}
@@ -217,45 +217,6 @@ def verify_relations(rep: ModuleRep) -> RelationReport:
 # -- face-path walks -----------------------------------------------------------
 
 
-def crossing_order(cfg: Configuration, word: str, w: int) -> int:
-    """Multiplicity of supported vertical edges crossed by the closed loop.
-
-    The loop is the face path from w following the balanced word; by
-    conservation the horizontal crossing count agrees, which is asserted.
-    """
-    if word.count("1") != cfg.lat.m or word.count("2") != cfg.lat.n:
-        raise ValueError(f"word {word!r} is not balanced for {(cfg.lat.m, cfg.lat.n)}")
-    vert = horiz = 0
-    for i, mid2, _ in cfg.lat.walk(w, word):
-        if i == 1:
-            vert += cfg.mult_mid2(1, mid2)
-        else:
-            horiz += cfg.mult_mid2(2, mid2)
-    if vert != horiz:
-        raise AssertionError(f"vertical/horizontal crossing counts differ at {w}")
-    return vert
-
-
-def path_sqrt_product(cfg: Configuration, steps: str, w: int) -> Radical:
-    """Ordered product of square-root values along a face path (no gauge)."""
-    out = Radical.one()
-    for i, mid2, _ in cfg.lat.walk(w, steps):
-        out = out * cfg.sqrt_value(i, mid2)
-        if out.is_zero:
-            return out
-    return out
-
-
-def path_poly_product(cfg: Configuration, steps: str, w: int) -> Fraction:
-    """Ordered product of edge polynomial values along a face path."""
-    num = den = 1
-    for i, mid2, _ in cfg.lat.walk(w, steps):
-        p = cfg.poly_eval(i, mid2)
-        num *= p.numerator
-        den *= p.denominator
-    return Fraction(num, den)
-
-
 def order_support(cfg: Configuration, word: str) -> dict[int, int]:
     """All weights with positive loop order for the word, with their orders.
 
@@ -265,17 +226,22 @@ def order_support(cfg: Configuration, word: str) -> dict[int, int]:
     multiplicity at lam = (e2 - off)/2.  Vertical and horizontal crossings
     are counted apart, and their agreement is asserted.
     """
+    return dict(Counter(_loop_orders(cfg, word)))
+
+
+def _loop_orders(cfg: Configuration, word: str) -> list[int]:
+    """order_support as a sorted list, each weight repeated by its order."""
     if word.count("1") != cfg.lat.m or word.count("2") != cfg.lat.n:
         raise ValueError(f"word {word!r} is not balanced for {(cfg.lat.m, cfg.lat.n)}")
-    counts = {1: Counter(), 2: Counter()}
-    roots = {i: cfg.poly_roots(i) for i in (1, 2)}
+    crossed: dict[int, list[int]] = {1: [], 2: []}
     for i, off, _ in cfg.lat.walk(0, word):
-        counts[i].update((e2 - off) // 2 for e2 in roots[i] if (e2 - off) % 2 == 0)
-    vert, horiz = counts[1], counts[2]
+        crossed[i] += cfg.root_offsets(i, off)
+    vert, horiz = sorted(crossed[1]), sorted(crossed[2])
     if vert != horiz:
-        lam = min(lam for lam in vert.keys() | horiz.keys() if vert[lam] != horiz[lam])
+        v, h = Counter(vert), Counter(horiz)
+        lam = min(lam for lam in v.keys() | h.keys() if v[lam] != h[lam])
         raise AssertionError(f"vertical/horizontal crossing counts differ at {lam}")
-    return dict(sorted(vert.items()))
+    return vert
 
 
 def order_product(cfg: Configuration, word: str, mu: int,
@@ -361,19 +327,6 @@ def check_order_product(cfg: Configuration, word: str, window: tuple[int, int]) 
 # -- operator words and the Casimir --------------------------------------------
 
 
-def word_matrix(rep: ModuleRep, tokens) -> MonomialMat:
-    """Product of generator matrices; the rightmost token acts first."""
-    out = MonomialMat.identity(rep.dim)
-    for t in tokens:
-        out = out @ rep.mats[t]
-    return out
-
-
-def loop_matrix(rep: ModuleRep, word: str) -> MonomialMat:
-    """The balanced loop operator: raising generators, first letter first."""
-    return word_matrix(rep, [f"X{c}+" for c in reversed(word)])
-
-
 @dataclass
 class CasimirResult:
     word: str
@@ -390,40 +343,61 @@ def casimir(rep: ModuleRep, word: str) -> CasimirResult:
     """Casimir scalar on the module, extracted from one balanced word.
 
     The loop operator divided by its order polynomial acts as a scalar.  It
-    is computed in integers by one walk per basis face along its column
-    chain through X1+ and X2+, in word order, folding roots by their gcd as
-    ``Radical`` products do.  The chain is nonzero exactly when the face
-    loop stays inside the basis crossing only unsupported edges: such a
-    face is determinate, and the ratios on those faces must agree.  Faces
-    whose loop meets the support are zero over zero for this word and are
+    is computed in integers along each basis face's column chain through
+    X1+ and X2+, in word order, folding roots by their gcd as ``Radical``
+    products do.  The chain is nonzero exactly when the face loop stays
+    inside the basis crossing only unsupported edges: such a face is
+    determinate, and the ratios on those faces must agree.  Faces whose
+    loop meets the support are zero over zero for this word and are
     reported indeterminate (the scalar is word independent, so another word
     can certify them).  On a contractible component the loop operator
     vanishes and the scalar is 0.
+
+    The order polynomial rides along the chain: each X1+ step from weight w
+    also divides by P_1 at 2w + alpha, the edge it crosses.  At a
+    determinate face mu that product is ``order_product(cfg, word, mu)``:
+    with off_t the doubled midpoint crossed at the t-th vertical step of
+    the loop from 0, both are the finite product over those t and over the
+    orientation-1 roots e2 of (2mu + off_t - e2)/2, the first grouped by
+    root weight lam = (e2 - off_t)/2 as (mu - lam)^order(lam), the second
+    by step as P_1(2mu + off_t).  Every such factor is an integer, because
+    every orientation-1 root has the parity of every orientation-1 crossing.
+
+    The chain is walked one letter at a time over the list of all faces'
+    states.  The module keeps the states after every prefix of the last
+    word it evaluated, keyed on the X1+ and X2+ column views they were read
+    from, and a call extends only the part of its word past their common
+    prefix.  So the words of ``balanced_words``, which are sorted, walk
+    their prefix trie once.
     """
     cfg = rep.cfg
-    support = order_support(cfg, word)
-    cols = {c: rep.mats[f"X{c}+"].int_cols() for c in "12"}
-    chain = [cols[c] for c in word]
+    _loop_orders(cfg, word)  # the word is balanced and its crossings agree
+    views = (rep.mats["X1+"].int_cols(), rep.mats["X2+"].int_cols())
+    chain = rep._chain
+    if chain is None or chain[0] is not views[0] or chain[1] is not views[1]:
+        # a contractible module's scalar is 0 whatever the chain values
+        x1 = views[0] if rep.comp.contractible else _divided_by_p1(rep, views[0])
+        chain = (*views, {"1": x1, "2": views[1]}, "",
+                 [[(j, 0, 0, 1, 1, 1) for j in range(rep.dim)]])
+    x1, x2, cols, last, levels = chain
+    p = 0
+    while p < len(last) and last[p] == word[p]:
+        p += 1
+    del levels[p + 1:]
+    for c in word[p:]:
+        levels.append(_chain_step(levels[-1], cols[c]))
+    rep._chain = (x1, x2, cols, word, levels)
     determinate, indeterminate, scalars = [], [], set()
-    for j, w in enumerate(rep.weights):
-        r, k, phase, num, den, root = j, 0, 0, 1, 1, 1
-        for col in chain:
-            if col[r] is None:
-                indeterminate.append(w)
-                break
-            r, dk, dphase, dnum, dden, droot = col[r]
-            g = gcd(root, droot)
-            k, phase, num, den = k + dk, phase + dphase, num * dnum * g, den * dden
-            root = (root // g) * (droot // g)
-        else:
-            if r != j:
-                raise AssertionError("balanced loop operator is not diagonal")
-            determinate.append(w)
-            op = order_product(cfg, word, w, support)
-            phase += 2 if op < 0 else 0
-            den *= abs(op)
-            g = gcd(num, den)
-            scalars.add((k, phase % 4, num // g, den // g, root))
+    for j, (w, state) in enumerate(zip(rep.weights, levels[-1])):
+        if state is None:
+            indeterminate.append(w)
+            continue
+        r, k, phase, num, den, root = state
+        if r != j:
+            raise AssertionError("balanced loop operator is not diagonal")
+        determinate.append(w)
+        g = gcd(num, den)
+        scalars.add((k, phase % 4, num // g, den // g, root))
     if rep.comp.contractible and determinate:
         raise AssertionError("loop operator does not vanish on a contractible component")
     values = [Radical(k, p, Fraction(n, d), s) for k, p, n, d, s in scalars]
@@ -432,3 +406,41 @@ def casimir(rep: ModuleRep, word: str) -> CasimirResult:
     scalar = Radical.zero() if rep.comp.contractible else next(iter(values), None)
     return CasimirResult(word=word, scalar=scalar, determinate=determinate,
                          indeterminate=indeterminate)
+
+
+def _divided_by_p1(rep: ModuleRep, col1: tuple) -> list:
+    """The X1+ column view, each entry divided by P_1 at the edge it crosses.
+
+    From weight w that edge is at 2w + alpha, and P_1 there is the product
+    of (2w + alpha - e2)/2 = w - lam over the orientation-1 roots e2, with
+    lam = (e2 - alpha)/2 as ``Configuration.root_offsets(1, alpha)`` lists
+    them: a nonzero integer, since the edge is unsupported.
+    """
+    cfg = rep.cfg
+    lams = cfg.root_offsets(1, cfg.lat.alpha)
+    out = []
+    for e, w in zip(col1, rep.weights):
+        if e is not None:
+            p = 1
+            for lam in lams:
+                p *= w - lam
+            r, k, phase, num, den, root = e
+            e = (r, k, phase + 2 if p < 0 else phase, num, den * abs(p), root)
+        out.append(e)
+    return out
+
+
+def _chain_step(states: list, col) -> list:
+    """Every face's state after one more letter; None once its chain is zero."""
+    out = []
+    for state in states:
+        e = state and col[state[0]]
+        if e is None:
+            out.append(None)
+            continue
+        _, k, phase, num, den, root = state
+        r, dk, dphase, dnum, dden, droot = e
+        g = gcd(root, droot)
+        out.append((r, k + dk, phase + dphase, num * dnum * g, den * dden,
+                    (root // g) * (droot // g)))
+    return out

@@ -85,16 +85,6 @@ class Radical:
         return cls(0, 0 if q > 0 else 2, abs(q), 1)
 
     @classmethod
-    def sqrt_rational(cls, r, phase: int = 0, xi_exp: int = 0) -> "Radical":
-        """Principal square root of a nonnegative rational, times i^phase * xi^xi_exp."""
-        r = Fraction(r)
-        if r < 0:
-            raise ValueError("radicand must be nonnegative")
-        if r == 0:
-            return cls.zero()
-        return cls.make(xi_exp, phase, Fraction(1, r.denominator), r.numerator * r.denominator)
-
-    @classmethod
     def xi_power(cls, k: int) -> "Radical":
         return cls(k, 0, Fraction(1), 1)
 
@@ -115,26 +105,11 @@ class Radical:
             (self.root // g) * (other.root // g),
         )
 
-    def times_rational(self, q) -> "Radical":
-        q = Fraction(q)
-        if q == 0 or self.is_zero:
-            return Radical.zero()
-        phase = self.phase if q > 0 else (self.phase + 2) % 4
-        return Radical(self.xi_exp, phase, self.coeff * abs(q), self.root)
-
     def conjugate(self) -> "Radical":
         """Complex conjugate under the unit-circle rule xi -> xi^-1."""
         if self.is_zero:
             return self
         return Radical(-self.xi_exp, (-self.phase) % 4, self.coeff, self.root)
-
-    def as_rational(self) -> Fraction:
-        """Exact rational value; raises if the value is not rational."""
-        if self.is_zero:
-            return Fraction(0)
-        if self.xi_exp != 0 or self.root != 1 or self.phase % 2 != 0:
-            raise ValueError(f"{self} is not rational")
-        return self.coeff if self.phase == 0 else -self.coeff
 
     def value(self, xi: complex = 1.0) -> complex:
         """Numeric evaluation at a concrete nonzero xi."""

@@ -44,6 +44,10 @@ class ColoringConflictError(ValueError):
     """
 
 
+class EmptyWindowError(ValueError):
+    """A weight window holds no face of the component."""
+
+
 @dataclass(frozen=True)
 class Component:
     """One connected component, with gauge lifts chosen by the flood fill."""
@@ -191,36 +195,35 @@ def components(cfg: Configuration) -> list[Component]:
 
 
 def window_flood(cfg: Configuration, comp: Component, lo: int, hi: int):
-    """Component faces inside [lo, hi], lifted consistently with comp.lifts.
+    """All component faces with weight in [lo, hi], lifted consistently with comp.lifts.
 
-    The fill starts from the enumerated faces in the window.  A window that
-    holds none of them but lies beyond ``comp.window`` on the component's
-    infinite side is reached from the nearest enumerated face, through the
-    gap.  Every edge there is free, so the fill commutes with beta steps:
-    the window is moved by whole beta steps to within m + n - 1 of that
-    face (a free band that wide is connected), filled over the hull of the
-    face and the moved window, and moved back.  Returns the sorted weights
-    and their lifts.
+    The fill starts from the enumerated faces and floods over the hull of
+    [lo, hi] and the enumerated weights, so a face joined to them only
+    through weights outside [lo, hi] is kept; then it is clipped to
+    [lo, hi].  Past the enumeration window of an infinite component every
+    edge is free, so there the fill commutes with beta steps: a window farther than m + n - 1 from
+    them is moved by whole beta steps to within that distance (a free band
+    that wide is connected), filled, and moved back, at a cost independent
+    of its distance.  Returns the sorted weights and their lifts; a window
+    that meets no face of the component raises :class:`EmptyWindowError`.
     """
-    seeds = sorted(w for w in comp.weights if lo <= w <= hi)
-    beta = cfg.lat.beta  # the X2+ step, lift (0, 1)
-    k, fill_lo, fill_hi = 0, lo, hi
-    if not seeds and comp.window is not None:
-        wlo, whi = comp.window
-        reach = cfg.lat.m + cfg.lat.n - 1
-        if lo > whi and whi in comp.weights:
-            k = max(0, (lo - whi - reach) // beta)
-            seeds, fill_lo, fill_hi = [whi], whi, hi - k * beta
-        elif hi < wlo and wlo in comp.weights:
-            k = -max(0, (wlo - hi - reach) // beta)
-            seeds, fill_lo, fill_hi = [wlo], lo - k * beta, wlo
-    moves = lift_moves(cfg, fill_lo, fill_hi, [])
+    ws = comp.weights
+    wlo, whi = comp.window or (min(ws), max(ws))
+    beta, reach = cfg.lat.beta, cfg.lat.m + cfg.lat.n - 1  # beta: the X2+ step, lift (0, 1)
+    k = 0
+    if lo > whi + reach:
+        k = (lo - whi - reach) // beta
+    elif hi < wlo - reach:
+        k = -((wlo - reach - hi) // beta)
+    mlo, mhi = lo - k * beta, hi - k * beta
+    moves = lift_moves(cfg, min(mlo, wlo), max(mhi, whi), [])
     lifts: dict[int, tuple[int, int]] = {}
-    for s in seeds:
+    for s in sorted(ws):
         if s not in lifts:
             lifts.update(flood(s, comp.lifts[s], moves)[0])
-    lifts = {w + k * beta: (x, y + k) for w, (x, y) in lifts.items()
-             if lo <= w + k * beta <= hi}
+    lifts = {w + k * beta: (x, y + k) for w, (x, y) in lifts.items() if mlo <= w <= mhi}
+    if not lifts:
+        raise EmptyWindowError(f"window {(lo, hi)} does not meet component {comp.id}")
     return sorted(lifts), lifts
 
 

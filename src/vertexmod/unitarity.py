@@ -28,21 +28,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .configuration import Configuration
-from .lattice import HORIZONTAL, VERTICAL, Edge, Vertex
+from .lattice import HORIZONTAL, VERTICAL, Edge
 from .linalg import MonomialMat
 from .representation import ModuleRep
 from .topology import Component, overlay, subcomponents, window_flood
 
 Signature = tuple[int, int]  # unordered pair, stored sorted ascending
-
-
-def path_phase2(cfg: Configuration, steps) -> int:
-    """Doubled phase accumulated along a signed step path from weight 0.
-
-    Each token +-1 or +-2 moves by +-alpha or +-beta and contributes the
-    above-count of the crossed edge.  Only the parity is path independent.
-    """
-    return sum(cfg.count_above(i, mid2) for i, mid2, _ in cfg.lat.walk(0, steps))
 
 
 class SignTable:
@@ -54,72 +45,6 @@ class SignTable:
 
     def __init__(self, cfg: Configuration):
         self.sign = cfg.face_sign
-
-
-@dataclass
-class SignConsistencyReport:
-    vertex_failures: list[Vertex]
-    path_failures: list[str]
-    paths_checked: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.vertex_failures and not self.path_failures
-
-
-def check_sign_consistency(cfg: Configuration, window: tuple[int, int],
-                           box: int = 4, backtracks: int = 10,
-                           rng=None) -> SignConsistencyReport:
-    """Brute-force path independence of the phase parity.
-
-    (a) The vertex consistency identity: at every window vertex the above
-    counts satisfy up + right = down + left as exact integers.
-    (b) For each target weight reachable inside a step box, every monotone
-    interleaving (and a sample of backtracking paths) accumulates the same
-    phase parity.
-    """
-    import random
-    from itertools import combinations
-
-    rng = rng or random.Random(0)
-    lat = cfg.lat
-    a, b = lat.alpha, lat.beta
-    vertex_failures = []
-    lo, hi = window
-    parity = (a + b) % 2
-    first = 2 * lo + (0 if (2 * lo) % 2 == parity else 1)
-    for t in range(first, 2 * hi + 1, 2):
-        if (cfg.count_above(1, t + b) + cfg.count_above(2, t + a)
-                != cfg.count_above(1, t - b) + cfg.count_above(2, t - a)):
-            vertex_failures.append(lat.vertex_of_val2(t))
-    path_failures = []
-    paths_checked = 0
-    for sgn in (1, -1):
-        for na in range(box + 1):
-            for nb in range(box + 1):
-                if na == nb == 0:
-                    continue
-                target = sgn * (na * a + nb * b)
-                parities = set()
-                for pos in combinations(range(na + nb), nb):
-                    steps = [sgn * 1] * (na + nb)
-                    for p in pos:
-                        steps[p] = sgn * 2
-                    parities.add(path_phase2(cfg, steps) % 2)
-                    paths_checked += 1
-                base = [sgn * 1] * na + [sgn * 2] * nb
-                for _ in range(backtracks):
-                    steps = list(base)
-                    for _ in range(rng.randrange(1, 4)):
-                        s = rng.choice([1, -1, 2, -2])
-                        at = rng.randrange(0, len(steps) + 1)
-                        steps[at:at] = [s, -s]
-                    rng.shuffle(steps)  # endpoint is preserved, order is not needed
-                    parities.add(path_phase2(cfg, steps) % 2)
-                    paths_checked += 1
-                if len(parities) != 1:
-                    path_failures.append(f"parity differs on paths to weight {target}")
-    return SignConsistencyReport(vertex_failures, path_failures, paths_checked)
 
 
 # -- the invariant form on a module --------------------------------------------
@@ -163,12 +88,6 @@ def verify_invariance(rep: ModuleRep) -> InvarianceReport:
         failures.append("H is not real diagonal")
     checked += 1
     return InvarianceReport(failures=failures, checked=checked)
-
-
-def adjoint_matrix(rep: ModuleRep, gen: str) -> MonomialMat:
-    """Form adjoint G^-1 M^dagger G (G is its own inverse)."""
-    G = gram_matrix(rep)
-    return G @ rep.mats[gen].conj_transpose() @ G
 
 
 # -- signatures ------------------------------------------------------------------

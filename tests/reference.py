@@ -1,0 +1,218 @@
+"""Independent reference implementations that only the tests call.
+
+Each one recomputes something the package computes a faster or more
+structured way: loop products by walking face paths, the loop operator as a
+matrix product, rational views of ``Radical`` values, the form adjoint, and
+the brute-force path independence of the face sign.  They live here so that
+the package holds only what its commands and the benchmark run.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
+
+from vertexmod.configuration import Configuration, VertexPath
+from vertexmod.lattice import Lattice, Vertex
+from vertexmod.linalg import MonomialMat
+from vertexmod.representation import ModuleRep
+from vertexmod.scalar import Radical
+from vertexmod.unitarity import gram_matrix
+
+
+# -- lattice and configuration -------------------------------------------------
+
+
+def face_weight(lat: Lattice, f) -> int:
+    x, y = f
+    return x * lat.alpha + y * lat.beta
+
+
+def vertex_val2(lat: Lattice, v) -> int:
+    x, y = v
+    return 2 * (x * lat.alpha + y * lat.beta) + lat.alpha + lat.beta
+
+
+def is_empty(cfg: Configuration) -> bool:
+    return not cfg.edges
+
+
+def max_area_path(lat: Lattice, start: tuple[int, int] = (0, 0)) -> VertexPath:
+    """The staircase with all up steps first: n twos then m ones."""
+    return VertexPath(start, "2" * lat.n + "1" * lat.m)
+
+
+def flip_corner(path: VertexPath, idx: int) -> VertexPath:
+    """Replace the "21" at position idx by "12" (a corner flip move)."""
+    s = path.steps
+    if s[idx : idx + 2] != "21":
+        raise ValueError(f"no '21' corner at position {idx} of {s!r}")
+    return VertexPath(path.start, s[:idx] + "12" + s[idx + 2 :])
+
+
+# -- Radical values ----------------------------------------------------------------
+
+
+def sqrt_rational(r, phase: int = 0, xi_exp: int = 0) -> Radical:
+    """Principal square root of a nonnegative rational, times i^phase * xi^xi_exp."""
+    r = Fraction(r)
+    if r < 0:
+        raise ValueError("radicand must be nonnegative")
+    if r == 0:
+        return Radical.zero()
+    return Radical.make(xi_exp, phase, Fraction(1, r.denominator), r.numerator * r.denominator)
+
+
+def times_rational(v: Radical, q) -> Radical:
+    q = Fraction(q)
+    if q == 0 or v.is_zero:
+        return Radical.zero()
+    phase = v.phase if q > 0 else (v.phase + 2) % 4
+    return Radical(v.xi_exp, phase, v.coeff * abs(q), v.root)
+
+
+def as_rational(v: Radical) -> Fraction:
+    """Exact rational value; raises if the value is not rational."""
+    if v.is_zero:
+        return Fraction(0)
+    if v.xi_exp != 0 or v.root != 1 or v.phase % 2 != 0:
+        raise ValueError(f"{v} is not rational")
+    return v.coeff if v.phase == 0 else -v.coeff
+
+
+# -- face-path walks and the loop operator -----------------------------------------
+
+
+def crossing_order(cfg: Configuration, word: str, w: int) -> int:
+    """Multiplicity of supported vertical edges crossed by the closed loop.
+
+    The loop is the face path from w following the balanced word; by
+    conservation the horizontal crossing count agrees, which is asserted.
+    """
+    if word.count("1") != cfg.lat.m or word.count("2") != cfg.lat.n:
+        raise ValueError(f"word {word!r} is not balanced for {(cfg.lat.m, cfg.lat.n)}")
+    vert = horiz = 0
+    for i, mid2, _ in cfg.lat.walk(w, word):
+        if i == 1:
+            vert += cfg.mult_mid2(1, mid2)
+        else:
+            horiz += cfg.mult_mid2(2, mid2)
+    if vert != horiz:
+        raise AssertionError(f"vertical/horizontal crossing counts differ at {w}")
+    return vert
+
+
+def path_sqrt_product(cfg: Configuration, steps: str, w: int) -> Radical:
+    """Ordered product of square-root values along a face path (no gauge)."""
+    out = Radical.one()
+    for i, mid2, _ in cfg.lat.walk(w, steps):
+        out = out * cfg.sqrt_value(i, mid2)
+        if out.is_zero:
+            return out
+    return out
+
+
+def path_poly_product(cfg: Configuration, steps: str, w: int) -> Fraction:
+    """Ordered product of edge polynomial values along a face path."""
+    num = den = 1
+    for i, mid2, _ in cfg.lat.walk(w, steps):
+        p = cfg.poly_eval(i, mid2)
+        num *= p.numerator
+        den *= p.denominator
+    return Fraction(num, den)
+
+
+def word_matrix(rep: ModuleRep, tokens) -> MonomialMat:
+    """Product of generator matrices; the rightmost token acts first."""
+    out = MonomialMat.identity(rep.dim)
+    for t in tokens:
+        out = out @ rep.mats[t]
+    return out
+
+
+def loop_matrix(rep: ModuleRep, word: str) -> MonomialMat:
+    """The balanced loop operator: raising generators, first letter first."""
+    return word_matrix(rep, [f"X{c}+" for c in reversed(word)])
+
+
+def adjoint_matrix(rep: ModuleRep, gen: str) -> MonomialMat:
+    """Form adjoint G^-1 M^dagger G (G is its own inverse)."""
+    G = gram_matrix(rep)
+    return G @ rep.mats[gen].conj_transpose() @ G
+
+
+# -- path independence of the face sign ----------------------------------------------
+
+
+def path_phase2(cfg: Configuration, steps) -> int:
+    """Doubled phase accumulated along a signed step path from weight 0.
+
+    Each token +-1 or +-2 moves by +-alpha or +-beta and contributes the
+    above-count of the crossed edge.  Only the parity is path independent.
+    """
+    return sum(cfg.count_above(i, mid2) for i, mid2, _ in cfg.lat.walk(0, steps))
+
+
+@dataclass
+class SignConsistencyReport:
+    vertex_failures: list[Vertex]
+    path_failures: list[str]
+    paths_checked: int
+
+    @property
+    def ok(self) -> bool:
+        return not self.vertex_failures and not self.path_failures
+
+
+def check_sign_consistency(cfg: Configuration, window: tuple[int, int],
+                           box: int = 4, backtracks: int = 10,
+                           rng=None) -> SignConsistencyReport:
+    """Brute-force path independence of the phase parity.
+
+    (a) The vertex consistency identity: at every window vertex the above
+    counts satisfy up + right = down + left as exact integers.
+    (b) For each target weight reachable inside a step box, every monotone
+    interleaving (and a sample of backtracking paths) accumulates the same
+    phase parity.
+    """
+    rng = rng or random.Random(0)
+    lat = cfg.lat
+    a, b = lat.alpha, lat.beta
+    vertex_failures = []
+    lo, hi = window
+    parity = (a + b) % 2
+    first = 2 * lo + (0 if (2 * lo) % 2 == parity else 1)
+    for t in range(first, 2 * hi + 1, 2):
+        if (cfg.count_above(1, t + b) + cfg.count_above(2, t + a)
+                != cfg.count_above(1, t - b) + cfg.count_above(2, t - a)):
+            vertex_failures.append(lat.vertex_of_val2(t))
+    path_failures = []
+    paths_checked = 0
+    for sgn in (1, -1):
+        for na in range(box + 1):
+            for nb in range(box + 1):
+                if na == nb == 0:
+                    continue
+                target = sgn * (na * a + nb * b)
+                parities = set()
+                for pos in combinations(range(na + nb), nb):
+                    steps = [sgn * 1] * (na + nb)
+                    for p in pos:
+                        steps[p] = sgn * 2
+                    parities.add(path_phase2(cfg, steps) % 2)
+                    paths_checked += 1
+                base = [sgn * 1] * na + [sgn * 2] * nb
+                for _ in range(backtracks):
+                    steps = list(base)
+                    for _ in range(rng.randrange(1, 4)):
+                        s = rng.choice([1, -1, 2, -2])
+                        at = rng.randrange(0, len(steps) + 1)
+                        steps[at:at] = [s, -s]
+                    rng.shuffle(steps)  # endpoint is preserved, order is not needed
+                    parities.add(path_phase2(cfg, steps) % 2)
+                    paths_checked += 1
+                if len(parities) != 1:
+                    path_failures.append(f"parity differs on paths to weight {target}")
+    return SignConsistencyReport(vertex_failures, path_failures, paths_checked)

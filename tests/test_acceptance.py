@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from conftest import staircase_band
+from reference import check_sign_consistency, loop_matrix, path_poly_product, path_sqrt_product
 from vertexmod.cli import main
 from vertexmod.configfile import parse
 from vertexmod.configuration import Configuration, random_config
@@ -36,11 +37,8 @@ from vertexmod.representation import (
     build_module,
     casimir,
     check_order_product,
-    loop_matrix,
     order_product,
     order_support,
-    path_poly_product,
-    path_sqrt_product,
     verify_relations,
 )
 from vertexmod.scalar import Radical
@@ -52,7 +50,6 @@ from vertexmod.topology import (
 )
 from vertexmod.unitarity import (
     SignTable,
-    check_sign_consistency,
     gram_diag,
     gram_matrix,
     signature_coloring,

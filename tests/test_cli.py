@@ -85,6 +85,25 @@ def test_inverted_window_is_a_usage_error(ex2_file, capsys, command, form):
     assert captured.err == "error: --window 5 -5 is inverted: A must not exceed B\n"
 
 
+@pytest.mark.parametrize("command", ["module", "signature", "casimir"])
+@pytest.mark.parametrize("form", [[], ["--json"]])
+def test_empty_window_fill_is_a_usage_error(ex2_file, capsys, command, form):
+    # component 3 extends upward; the window lies at the other end of the
+    # cylinder, which belongs to component 2
+    argv = [command, ex2_file, "--component", "3", "--window", "-120", "-100", *form]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: window (-120, -100) does not meet component 3\n"
+
+
+def test_narrow_window_keeps_every_component_face(ex2_file, capsys):
+    # faces 16 and 17 of component 3 are joined only outside the window
+    assert main(["module", ex2_file, "--component", "3", "--window", "16", "17", "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["weights"] == [16, 17] and obj["relations"]["ok"]
+
+
 def test_far_window_for_infinite(ex2_file, capsys):
     # component 3 is enumerated as 3..16; the window lies far above it
     window = ["--component", "3", "--window", "100", "120", "--json"]

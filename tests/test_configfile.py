@@ -5,6 +5,8 @@ from vertexmod.configfile import ParseError, parse, serialize
 from vertexmod.configuration import random_config
 from vertexmod.lattice import Lattice
 
+from reference import is_empty
+
 EXAMPLE2 = """\
 # two paths from the same corner
 period 5 2
@@ -22,7 +24,7 @@ def test_parse_example2(example2):
 
 def test_parse_empty_config():
     cf = parse("period 1 1\n")
-    assert cf.configuration().is_empty()
+    assert is_empty(cf.configuration())
 
 
 def test_parse_step_count_error():

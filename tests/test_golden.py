@@ -62,8 +62,8 @@ GOLDEN = {
     ('example3.cfg', 2, ('casimir', '--all-words', '--window', '-12', '12')): (0, 'f47977f90a99daed81e545ea96fc53c7562a9aab2b8883f63e88bc39bd7a96e1'),
     ('example3.cfg', 2, ('signature', '--window', '-30', '30')): (0, '3e9a2e2f0c4b000a7e891a487f621af5f62b11f477243f840a909ab3b7425611'),
     ('example3.cfg', 3, ('module', '--window', '-30', '30')): (0, '623de0a4acf87cf4e5d58dfe64b8bdc697a5aebf6f071832089a819cb7b04441'),
-    ('example3.cfg', 3, ('module', '--window', '-3', '5')): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    ('example3.cfg', 3, ('casimir', '--all-words', '--window', '-12', '12')): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('example3.cfg', 3, ('module', '--window', '-3', '5')): (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('example3.cfg', 3, ('casimir', '--all-words', '--window', '-12', '12')): (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('example3.cfg', 3, ('signature', '--window', '-30', '30')): (0, '313ade9a314c3abd06ee3c7c0853100811abe798de942e570a5d2712dd895768'),
     ('example4.cfg', None, ('components',)): (0, 'f70898bf2225ca8e9a42a4b7a7dbd0da3ec8c2fc2c71fd0435c96faad69236f7'),
     ('example4.cfg', 0, ('module', '--window', '-30', '30')): (0, 'cafd1baa56345ef87ffde0bb9bb085c94829c3cb12015c5dd6d6ae8fc0670884'),
@@ -71,11 +71,11 @@ GOLDEN = {
     ('example4.cfg', 0, ('casimir', '--all-words', '--window', '-12', '12')): (0, '0e1c9ec3500610b7e3eb99349c7dd7881c08bb479e1459956ceb64693147e983'),
     ('example4.cfg', 0, ('signature',)): (0, '684382b58f726e6554d0df6de76da6a3936f5e9ad27a520734042af0d88a6bf6'),
     ('example4.cfg', 1, ('module', '--window', '-30', '30')): (0, 'a7e5167ad4d4982df58b818ee50cbb9050ea26a55f99c9c1e684b10c30003353'),
-    ('example4.cfg', 1, ('module', '--window', '-3', '5')): (0, '6397be33a2792a01adf5d9a4a34b0f9450b84320b5ec5f5c276d63ca26f41fd6'),
+    ('example4.cfg', 1, ('module', '--window', '-3', '5')): (0, 'c799519b492a7425453f2b2bd3b887fbf63be7b1b541a0c68fadb502147b0a3c'),
     ('example4.cfg', 1, ('casimir', '--all-words', '--window', '-12', '12')): (0, 'e54122833bec983c2147aed64160e2b9de518f0a95c2909d2c3866ca50920bbf'),
     ('example4.cfg', 1, ('signature', '--window', '-30', '30')): (0, 'a1b43a9bed2f0f4ee46815d8cf5c5bd6574dea0256c39da643fe8629ab40fddb'),
     ('example4.cfg', 2, ('module', '--window', '-30', '30')): (0, 'cf5f5d1d9f3a2feac1bf51dd44fef3dd5ee37b0c9af81312ba2f545b6c752f1b'),
-    ('example4.cfg', 2, ('module', '--window', '-3', '5')): (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('example4.cfg', 2, ('module', '--window', '-3', '5')): (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     ('example4.cfg', 2, ('casimir', '--all-words', '--window', '-12', '12')): (1, 'a121a6548bf48466737c116211c7e171327ae2fbdd2dc9ac3f1ec4f7140ec800'),
     ('example4.cfg', 2, ('signature', '--window', '-30', '30')): (0, 'ee76550ae40c7ab1be13ca561b48ea56caf373bca8930351b91e12f3610f2f61'),
 }

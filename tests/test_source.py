@@ -7,24 +7,9 @@ import vertexmod
 PACKAGE = Path(vertexmod.__file__).parent
 ROOT = PACKAGE.parent.parent
 
-# Package functions that only tests call, each kept as an independent
-# reference or a documented helper.
-TEST_ONLY = {
-    "flip_corner": "corner-flip move on a vertex path, used to build test configurations",
-    "is_empty": "emptiness of a configuration, a test convenience",
-    "max_area_path": "the all-up-first staircase, used to build test configurations",
-    "face_weight": "the weight of a face, the reference for face_of_weight",
-    "vertex_val2": "doubled vertex value, the reference for vertex_of_val2",
-    "loop_matrix": "the balanced loop operator as a matrix product, the Casimir reference",
-    "path_poly_product": "edge polynomial product along a face path, the adjoint-identity reference",
-    "path_sqrt_product": "square-root value product along a face path, the order-product reference",
-    "as_rational": "exact rational value of a Radical, a reference conversion",
-    "sqrt_rational": "principal square root of a rational, the reference for sqrt_value",
-    "times_rational": "Radical times a rational, used by the Casimir reference ratio",
-    "adjoint_matrix": "form adjoint of a generator, checked against the opposite generator",
-    "check_sign_consistency": "brute-force path independence of the sign, criterion 9's oracle",
-    "crossing_order": "one loop's crossing count by walking, the reference for order_support",
-}
+# Package functions that only tests call, each with the reason it is kept.
+# None today: the test-only references live in tests/reference.py.
+TEST_ONLY: dict[str, str] = {}
 
 
 def test_package_has_no_assert_statements():

@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import staircase_band
+from reference import face_weight, vertex_val2
 from vertexmod.configuration import Configuration, from_edges, random_config
 from vertexmod.lattice import Edge, Lattice
 from vertexmod.topology import (
+    EmptyWindowError,
     components,
     eight_vertex_violations,
     overlay,
     subcomponents,
+    window_flood,
 )
 
 lattices = st.sampled_from([(1, 1), (2, 1), (3, 2), (5, 2)])
@@ -127,13 +130,13 @@ def test_eight_vertex_check_rejects_broken_overlays():
         for key, s in ov.signs.items():
             kind, x, y = lat.edge_of_mid2("V" if key[0] == 1 else "H", key[1])
             ends = [(x, y - 1), (x, y)] if kind == "V" else [(x - 1, y), (x, y)]
-            internal_ends = sorted(t for t in map(lat.vertex_val2, ends) if t in ov.vertices)
+            internal_ends = sorted(t for t in (vertex_val2(lat, v) for v in ends) if t in ov.vertices)
             if not internal_ends:
                 continue
             ends_seen += len(internal_ends)
             flipped = replace(ov, signs={**ov.signs, key: -s})
             bad = eight_vertex_violations(cfg, band, flipped)
-            assert sorted(lat.vertex_val2(v) for v in bad) == internal_ends
+            assert sorted(vertex_val2(lat, v) for v in bad) == internal_ends
             with pytest.raises(ValueError, match="eight-vertex"):
                 subcomponents(cfg, band, flipped)
             dropped = replace(ov, signs={k: v for k, v in ov.signs.items() if k != key})
@@ -226,10 +229,39 @@ def test_two_coloring_example3(example3):
     lat = example3.lat
     big = [c for c in components(example3) if c.finite and c.dim == 14][0]
     pieces = subcomponents(example3, big, overlay(example3, big))
-    one_side = {lat.face_weight((x, 3)) for x in range(1, 6)}
-    one_side |= {lat.face_weight((x, 5)) for x in (4, 5)}
+    one_side = {face_weight(lat, (x, 3)) for x in range(1, 6)}
+    one_side |= {face_weight(lat, (x, 5)) for x in (4, 5)}
     by_color = {}
     for p in pieces:
         by_color.setdefault(p.color, set()).update(p.weights)
     assert one_side in by_color.values()
     assert big.weights - one_side in by_color.values()
+
+
+def test_narrow_window_keeps_faces_joined_outside_it(example2):
+    # component 3 (enumerated as 3..16) holds faces 16 and 17, which are
+    # joined only through weights outside [16, 17]
+    comp = components(example2)[3]
+    weights, lifts = window_flood(example2, comp, 16, 17)
+    assert weights == [16, 17]
+    assert lifts[16] == comp.lifts[16]
+    with pytest.raises(EmptyWindowError, match=r"window \(-120, -100\) does not meet component 3"):
+        window_flood(example2, comp, -120, -100)
+
+
+@given(lattices, st.integers(0, 3), st.integers(0, 10**6), st.integers(-60, 60),
+       st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_window_fill_is_the_wide_fill_clipped(mn, k, seed, lo, width):
+    # every subwindow's fill is the component's faces in a wide window,
+    # clipped to the subwindow; an empty one is an error
+    cfg = random_config(Lattice(*mn), k, seed)
+    for comp in components(cfg):
+        wide = window_flood(cfg, comp, -200, 200)[0]
+        assert set(wide) >= comp.weights
+        expected = [w for w in wide if lo <= w <= lo + width]
+        if expected:
+            assert window_flood(cfg, comp, lo, lo + width)[0] == expected
+        else:
+            with pytest.raises(EmptyWindowError):
+                window_flood(cfg, comp, lo, lo + width)

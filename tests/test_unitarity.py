@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import staircase_band
+from reference import adjoint_matrix, check_sign_consistency, path_phase2, times_rational
 from vertexmod.configfile import parse
 from vertexmod.configuration import Configuration, VertexPath, from_paths, random_config
 from vertexmod.lattice import Lattice
@@ -18,12 +19,9 @@ from vertexmod.topology import (
 )
 from vertexmod.unitarity import (
     SignTable,
-    adjoint_matrix,
-    check_sign_consistency,
     dual_invariants,
     gram_diag,
     gram_matrix,
-    path_phase2,
     signature_coloring,
     signature_direct,
     signature_window,
@@ -104,7 +102,7 @@ def test_gram_and_invariance_example2(example2):
 def test_negated_entry_fails_invariance(example2):
     rep = build_module(example2, components(example2)[0])
     entries = dict(rep.mats["X1+"].items())
-    entries[(1, 2)] = entries[(1, 2)].times_rational(-1)
+    entries[(1, 2)] = times_rational(entries[(1, 2)], -1)
     rep.mats["X1+"] = MonomialMat(rep.dim, entries)
     assert verify_invariance(rep).failures == ["form invariance fails for X1+-"]
 
