@@ -131,8 +131,9 @@ def signature_window(cfg: Configuration, comp: Component, window: tuple[int, int
                      involution: str = "star") -> tuple[Signature, bool]:
     """Face counts by the involution's sign over the component's faces in the window.
 
-    The faces are those of the window fill that ``build_module`` uses; the
-    flag marks the counts partial (an infinite component).
+    The faces are those of the window fill that ``build_module`` uses, and
+    a window that meets none of them raises ``EmptyWindowError``; the flag
+    marks the counts partial (an infinite component).
     """
     _, lifts = window_flood(cfg, comp, *window)
     signs = _face_signs(cfg, comp, lifts, involution)

@@ -1,11 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference import is_empty
 from vertexmod.configfile import ParseError, parse, serialize
 from vertexmod.configuration import random_config
 from vertexmod.lattice import Lattice
-
-from reference import is_empty
 
 EXAMPLE2 = """\
 # two paths from the same corner

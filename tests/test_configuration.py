@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from reference import as_rational, flip_corner, is_empty, max_area_path, sqrt_rational, vertex_val2
 from vertexmod.configuration import (
     Configuration,
     VertexPath,
@@ -13,8 +14,6 @@ from vertexmod.configuration import (
 )
 from vertexmod.lattice import Edge, Lattice, Vertex
 from vertexmod.scalar import Radical
-
-from reference import as_rational, flip_corner, is_empty, max_area_path, sqrt_rational, vertex_val2
 
 lattices = st.sampled_from([(1, 1), (2, 1), (3, 2), (5, 2)])
 

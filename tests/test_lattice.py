@@ -1,9 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from vertexmod.lattice import Edge, Face, Lattice, Vertex
-
 from reference import face_weight, vertex_val2
+from vertexmod.lattice import Edge, Face, Lattice, Vertex
 
 coprime_pairs = st.sampled_from([(1, 1), (2, 1), (3, 2), (5, 2), (5, 3), (7, 3), (8, 5)])
 

@@ -4,10 +4,9 @@ from math import isqrt
 import pytest
 from hypothesis import given, strategies as st
 
+from reference import as_rational, sqrt_rational
 from vertexmod.linalg import MonomialMat
 from vertexmod.scalar import Radical, squarefree_decompose
-
-from reference import as_rational, sqrt_rational
 
 radicals = st.builds(
     lambda k, a, num, den, root: Radical.make(k, a, Fraction(num, den), root),
