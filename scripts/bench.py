@@ -10,6 +10,13 @@ Run from the root of a source checkout; the package is imported from
   ``scripts/reproduce_examples.py``, ``vertexmod catalog 5 2 2 --samples
   1000``, ``scripts/fuzz_identities.py`` and the criterion-7 order-product
   scan (``pytest tests/test_acceptance.py -k criterion_07``);
+* the Tier-1 row is the wall time of one run of the whole test suite, with
+  the five slowest tests it reports (``--durations=5``);
+* the large row times, in one process, the layers on LARGE_SEEDS
+  configurations ``random_config(Lattice(*LARGE[:2]), LARGE[2], seed)``:
+  ``mte_violations`` in both modes and ``components`` on each, and
+  ``build_module``, ``verify_relations`` and ``verify_invariance`` on every
+  finite component;
 * the perfbench rows are the median of PERF_RUNS runs of ``perfbench/run.py
   --seconds SECONDS --seed SEED --trace 0`` per workload, one value per
   end-to-end metric;
@@ -39,6 +46,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("catalog", "identities", "analyze")
 RUNS, PERF_RUNS, SECONDS, SEED = 5, 3, 20, 0
+# (m, n, k) of the large row, and its seeds
+LARGE, LARGE_SEEDS = (34, 21, 8), range(5)
 
 
 def _env() -> dict:
@@ -70,6 +79,68 @@ def time_command(cmd: list[str], tmp: Path) -> dict:
         subprocess.run(cmd, cwd=ROOT, env=_env(), check=True, stdout=subprocess.DEVNULL)
         times.append(time.perf_counter() - start)
     return {"median_s": statistics.median(times), "runs_s": times}
+
+
+def tier1() -> dict:
+    """Wall time of one Tier-1 run and its five slowest tests."""
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "--continue-on-collection-errors", "--durations=5"],
+                         cwd=ROOT, env=_env(), check=True, capture_output=True, text=True).stdout
+    wall = time.perf_counter() - start
+    slowest = []
+    for line in out.split("slowest 5 durations", 1)[1].splitlines()[1:6]:
+        secs, when, test = line.split(maxsplit=2)
+        slowest.append({"s": float(secs.rstrip("s")), "when": when, "test": test})
+    return {"wall_s": wall, "slowest": slowest}
+
+
+def large_row() -> dict:
+    """Per-layer seconds and call counts over the large configurations.
+
+    Runs in the calling process; ``large`` starts a fresh one for it.
+    """
+    from vertexmod.configuration import random_config
+    from vertexmod.lattice import Lattice
+    from vertexmod.representation import build_module, verify_relations
+    from vertexmod.topology import components
+    from vertexmod.unitarity import verify_invariance
+
+    seconds: dict[str, float] = {}
+    calls: dict[str, int] = {}
+
+    def timed(name, fn, *args):
+        start = time.perf_counter()
+        out = fn(*args)
+        seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - start
+        calls[name] = calls.get(name, 0) + 1
+        return out
+
+    m, n, k = LARGE
+    dims = []
+    for seed in LARGE_SEEDS:
+        cfg = random_config(Lattice(m, n), k, seed)
+        timed("mte_P", cfg.mte_violations, "P")
+        timed("mte_q", cfg.mte_violations, "q")
+        for comp in timed("components", components, cfg):
+            if comp.finite:
+                rep = timed("build_module", build_module, cfg, comp)
+                timed("verify_relations", verify_relations, rep)
+                timed("verify_invariance", verify_invariance, rep)
+                dims.append(rep.dim)
+    return {"config": {"m": m, "n": n, "k": k, "seeds": list(LARGE_SEEDS)},
+            "finite_modules": len(dims), "max_dim": max(dims, default=0),
+            "seconds": seconds, "calls": calls}
+
+
+def large() -> dict:
+    """``large_row`` in a fresh interpreter."""
+    code = "import json, bench; print(json.dumps(bench.large_row()))"
+    env = _env()
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "scripts"), env["PYTHONPATH"]])
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
 
 
 def _perfbench_run(workload: str, trace: int) -> dict:
@@ -133,6 +204,11 @@ def main(argv=None) -> int:
         for name, cmd in _command_rows(Path(tmp)).items():
             record["commands"][name] = row = time_command(cmd, Path(tmp))
             print(f"{name}: median {row['median_s']:.3f} s over {RUNS} runs", flush=True)
+    record["tier1"] = row = tier1()
+    print(f"tier1: {row['wall_s']:.3f} s", flush=True)
+    record["large"] = row = large()
+    shown = ", ".join(f"{k} {v:.3f} s" for k, v in row["seconds"].items())
+    print(f"large {LARGE}: {shown}", flush=True)
     for w in WORKLOADS:
         record["perfbench"][w] = row = perfbench(w)
         shown = ", ".join(f"{k} {m['median']:.4g} {m['unit']}" for k, m in row["metrics"].items())

@@ -110,9 +110,6 @@ class Configuration:
 
     # -- basic queries -----------------------------------------------------
 
-    def mult(self, e: Edge) -> int:
-        return self.edges.get(self.lat.canonical_edge(e), 0)
-
     def mult_mid2(self, i: int, mid2: int) -> int:
         return self._mid2[i].get(mid2, 0)
 
@@ -219,7 +216,8 @@ class Configuration:
                 h = gcd(root, s)
                 coeff *= h
                 root = (root // h) * (s // h)
-        return Radical(0, self.count_above(i, mid2) % 4, Fraction(coeff, 2**deg), root)
+        g = gcd(coeff, 2**deg)
+        return Radical(0, self.count_above(i, mid2) % 4, coeff // g, 2**deg // g, root)
 
     def face_sign(self, w: int) -> int:
         """The global sign of the face of weight w.

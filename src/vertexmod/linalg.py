@@ -4,9 +4,8 @@ Every operator on a weight module is monomial: each generator moves a face
 to at most one neighbor, H and the invariant form are diagonal, and products
 and conjugate transposes of monomial matrices stay monomial.  So a square
 matrix is stored as one ``(row, Radical)`` or ``None`` per column, a product
-costs O(dim) and equality is exact.  Zero entries are never stored.  A
-matrix never changes after construction, so its integer column view is
-built at most once.
+costs O(dim) and equality is exact.  Zero entries are never stored, and a
+matrix never changes after construction.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from .scalar import Radical
 class MonomialMat:
     """Square matrix with at most one nonzero entry in every row and column."""
 
-    __slots__ = ("cols", "_int_cols")
+    __slots__ = ("cols",)
 
     def __init__(self, dim: int, entries: dict[tuple[int, int], Radical]):
         cols: list[tuple[int, Radical] | None] = [None] * dim
@@ -30,11 +29,6 @@ class MonomialMat:
             cols[c] = (r, val)
             rows.add(r)
         self.cols = tuple(cols)
-        self._int_cols = None
-
-    @classmethod
-    def identity(cls, n: int) -> "MonomialMat":
-        return cls.diagonal([Radical.one()] * n)
 
     @classmethod
     def diagonal(cls, values) -> "MonomialMat":
@@ -45,7 +39,6 @@ class MonomialMat:
     def _from_cols(cls, cols) -> "MonomialMat":
         out = cls.__new__(cls)
         out.cols = tuple(cols)
-        out._int_cols = None
         return out
 
     @property
@@ -55,19 +48,6 @@ class MonomialMat:
     def items(self) -> list[tuple[tuple[int, int], Radical]]:
         """((row, column), value) of every stored entry, in column order."""
         return [((col[0], c), col[1]) for c, col in enumerate(self.cols) if col is not None]
-
-    def int_cols(self) -> tuple:
-        """Every column as ``(row, xi_exp, phase, num, den, root)`` in integers, or None.
-
-        ``num/den`` is the entry's coefficient in lowest terms.  Built on the
-        first call and kept.
-        """
-        if self._int_cols is None:
-            self._int_cols = tuple(
-                col and (col[0], col[1].xi_exp, col[1].phase, col[1].coeff.numerator,
-                         col[1].coeff.denominator, col[1].root)
-                for col in self.cols)
-        return self._int_cols
 
     def entry(self, r: int, c: int) -> Radical:
         col = self.cols[c]
@@ -88,10 +68,6 @@ class MonomialMat:
             if col is not None:
                 out[col[0]] = (c, col[1].conjugate())
         return MonomialMat._from_cols(out)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(col is None for col in self.cols)
 
     def is_diagonal(self) -> bool:
         return all(col is None or col[0] == c for c, col in enumerate(self.cols))

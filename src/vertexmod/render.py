@@ -115,6 +115,9 @@ def render_ascii(cfg: Configuration, comp: Component | None = None,
     return "\n".join(lines)
 
 
+# pixels per lattice unit in SVG output
+UNIT = 40
+
 _SVG_HEAD = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
     '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -131,20 +134,20 @@ _SVG_HEAD = (
 
 
 def render_svg(cfg: Configuration, comp: Component | None = None,
-               involution: str = "star", unit: int = 40) -> str:
+               involution: str = "star") -> str:
     lat = cfg.lat
     m = lat.m
     vedges, hedges, red_v, red_h, faces = _strip_items(cfg, comp, involution)
     ybot, ytop = _y_range(cfg, vedges, hedges, faces)
-    pad = unit // 2 + 10
-    width = 2 * pad + m * unit
-    height = 2 * pad + (ytop - ybot) * unit
+    pad = UNIT // 2 + 10
+    width = 2 * pad + m * UNIT
+    height = 2 * pad + (ytop - ybot) * UNIT
 
     def X(x):
-        return pad + x * unit
+        return pad + x * UNIT
 
     def Y(y):
-        return pad + (ytop - y) * unit
+        return pad + (ytop - y) * UNIT
 
     out = [_SVG_HEAD.format(w=width, h=height)]
 
@@ -155,11 +158,11 @@ def render_svg(cfg: Configuration, comp: Component | None = None,
     for (x, y), (color, w) in sorted(faces.items()):
         fill = "hpos" if color > 0 else "hneg"
         out.append(
-            f'<rect x="{X(x - 1)}" y="{Y(y)}" width="{unit}" height="{unit}" '
+            f'<rect x="{X(x - 1)}" y="{Y(y)}" width="{UNIT}" height="{UNIT}" '
             f'fill="url(#{fill})" stroke="none"/>\n'
         )
         out.append(
-            f'<text x="{X(x - 1) + 4}" y="{Y(y - 1) - 4}" font-size="{unit // 4}" '
+            f'<text x="{X(x - 1) + 4}" y="{Y(y - 1) - 4}" font-size="{UNIT // 4}" '
             f'fill="#555">{w}</text>\n'
         )
     # light grid

@@ -6,22 +6,19 @@ Every coefficient produced by this package is a monomial
 
 with k an integer exponent of the formal unit-modulus parameter ``xi``,
 a an exponent of the imaginary unit modulo 4, c a nonnegative rational and
-s a squarefree positive integer.  :class:`Radical` stores that normal form;
-two values are equal iff all four components agree, so equality is decidable
-without any floating point.
+s a squarefree positive integer.  :class:`Radical` stores that normal form
+as five integers, with c = num/den in lowest terms; two values are equal iff
+all five agree, so equality is decidable without any floating point.
 
 ``xi`` is never evaluated during exact computation.  Because it is assumed
 to lie on the unit circle, conjugation maps ``xi -> xi^-1`` (and ``i -> -i``).
-Optional numeric evaluation at a concrete complex ``xi`` is provided for
-cross-checking against floating arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 
 @lru_cache(maxsize=None)
@@ -45,79 +42,58 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return g, s * n
 
 
-@dataclass(frozen=True, slots=True)
-class Radical:
-    """Normal form xi^xi_exp * i^phase * coeff * sqrt(root).
+class Radical(NamedTuple):
+    """Normal form xi^xi_exp * i^phase * (num/den) * sqrt(root), all integers.
 
-    coeff >= 0, root squarefree >= 1, phase in {0,1,2,3}; the zero value is
-    canonically (0, 0, 0, 1).  Use :meth:`make` (or the classmethod
-    constructors) rather than the raw constructor so the normal form holds.
+    num >= 0, den >= 1, gcd(num, den) = 1, root squarefree >= 1 and phase in
+    {0,1,2,3}; the zero value is canonically (0, 0, 0, 1, 1).  The normal
+    form makes equality plain tuple equality, so the raw constructor must
+    be given a value already in it; the classmethods and products are.
     """
 
-    xi_exp: int = 0
-    phase: int = 0
-    coeff: Fraction = Fraction(1)
-    root: int = 1
-
-    @staticmethod
-    def make(xi_exp: int = 0, phase: int = 0, coeff=Fraction(1), root: int = 1) -> "Radical":
-        coeff = Fraction(coeff)
-        if coeff < 0:
-            coeff, phase = -coeff, phase + 2
-        if coeff == 0:
-            return Radical(0, 0, Fraction(0), 1)
-        g, s = squarefree_decompose(root)
-        return Radical(xi_exp, phase % 4, coeff * g, s)
+    xi_exp: int
+    phase: int
+    num: int
+    den: int
+    root: int
 
     @classmethod
     def zero(cls) -> "Radical":
-        return cls(0, 0, Fraction(0), 1)
-
-    @classmethod
-    def one(cls) -> "Radical":
-        return cls(0, 0, Fraction(1), 1)
+        return ZERO
 
     @classmethod
     def from_rational(cls, q) -> "Radical":
-        q = Fraction(q)
-        if q == 0:
-            return cls.zero()
-        return cls(0, 0 if q > 0 else 2, abs(q), 1)
+        """The int or Fraction q."""
+        num, den = q.numerator, q.denominator
+        if num == 0:
+            return ZERO
+        return cls(0, 0 if num > 0 else 2, abs(num), den, 1)
 
     @classmethod
     def xi_power(cls, k: int) -> "Radical":
-        return cls(k, 0, Fraction(1), 1)
+        return cls(k, 0, 1, 1, 1)
 
     @property
     def is_zero(self) -> bool:
-        return self.coeff == 0
+        return self.num == 0
 
     def __mul__(self, other: "Radical") -> "Radical":
         if not isinstance(other, Radical):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Radical.zero()
-        g = gcd(self.root, other.root)
-        return Radical(
-            self.xi_exp + other.xi_exp,
-            (self.phase + other.phase) % 4,
-            self.coeff * other.coeff * g,
-            (self.root // g) * (other.root // g),
-        )
+        k, a, n, d, s = self
+        k2, a2, n2, d2, s2 = other
+        if not n or not n2:
+            return ZERO
+        g = gcd(s, s2)
+        n, d = n * n2 * g, d * d2
+        h = gcd(n, d)
+        return Radical(k + k2, (a + a2) % 4, n // h, d // h, (s // g) * (s2 // g))
 
     def conjugate(self) -> "Radical":
         """Complex conjugate under the unit-circle rule xi -> xi^-1."""
         if self.is_zero:
             return self
-        return Radical(-self.xi_exp, (-self.phase) % 4, self.coeff, self.root)
-
-    def value(self, xi: complex = 1.0) -> complex:
-        """Numeric evaluation at a concrete nonzero xi."""
-        if self.is_zero:
-            return 0j
-        if xi == 0:
-            raise ValueError("xi must be nonzero")
-        return (xi ** self.xi_exp) * (1j ** self.phase) * float(self.coeff) * (self.root ** 0.5)
+        return Radical(-self.xi_exp, -self.phase % 4, self.num, self.den, self.root)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -127,10 +103,14 @@ class Radical:
             parts.append(f"xi^{self.xi_exp}")
         if self.phase:
             parts.append(f"i^{self.phase}")
+        coeff = str(self.num) if self.den == 1 else f"{self.num}/{self.den}"
         if self.root == 1:
-            parts.append(str(self.coeff))
-        elif self.coeff == 1:
+            parts.append(coeff)
+        elif self.num == self.den == 1:
             parts.append(f"sqrt({self.root})")
         else:
-            parts.append(f"{self.coeff}*sqrt({self.root})")
-        return " * ".join(parts) if parts else "1"
+            parts.append(f"{coeff}*sqrt({self.root})")
+        return " * ".join(parts)
+
+
+ZERO = Radical(0, 0, 0, 1, 1)

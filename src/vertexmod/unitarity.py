@@ -25,7 +25,6 @@ for that are evaluated independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .configuration import Configuration
 from .lattice import HORIZONTAL, VERTICAL, Edge
@@ -56,7 +55,7 @@ def gram_diag(rep: ModuleRep) -> list[int]:
 
 
 def gram_matrix(rep: ModuleRep) -> MonomialMat:
-    return MonomialMat.diagonal([Fraction(s) for s in gram_diag(rep)])
+    return MonomialMat.diagonal(gram_diag(rep))
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """Independent reference implementations that only the tests call.
 
 Each one recomputes something the package computes a faster or more
-structured way: loop products by walking face paths, the loop operator as a
-matrix product, rational views of ``Radical`` values, the form adjoint, and
-the brute-force path independence of the face sign.  They live here so that
-the package holds only what its commands and the benchmark run.
+structured way: ``Radical`` arithmetic over a ``Fraction`` coefficient,
+loop products by walking face paths, the loop operator as a matrix product,
+rational and numeric views of ``Radical`` values, the form adjoint, and the
+brute-force path independence of the face sign.  The few constructors and
+queries that only tests need live here too, so that the package holds only
+what its commands and the benchmark run.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from vertexmod.configuration import Configuration, VertexPath
-from vertexmod.lattice import Lattice, Vertex
+from vertexmod.lattice import Edge, Lattice, Vertex
 from vertexmod.linalg import MonomialMat
 from vertexmod.representation import ModuleRep
-from vertexmod.scalar import Radical
+from vertexmod.scalar import Radical, squarefree_decompose
 from vertexmod.unitarity import gram_matrix
 
 
@@ -39,6 +42,10 @@ def is_empty(cfg: Configuration) -> bool:
     return not cfg.edges
 
 
+def mult(cfg: Configuration, e: Edge) -> int:
+    return cfg.edges.get(cfg.lat.canonical_edge(e), 0)
+
+
 def max_area_path(lat: Lattice, start: tuple[int, int] = (0, 0)) -> VertexPath:
     """The staircase with all up steps first: n twos then m ones."""
     return VertexPath(start, "2" * lat.n + "1" * lat.m)
@@ -55,6 +62,80 @@ def flip_corner(path: VertexPath, idx: int) -> VertexPath:
 # -- Radical values ----------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class FracRadical:
+    """xi^xi_exp * i^phase * coeff * sqrt(root) with a ``Fraction`` coeff.
+
+    The oracle for ``Radical``: the same normal form and arithmetic, with
+    the coefficient kept as one rational instead of two integers.
+    """
+
+    xi_exp: int = 0
+    phase: int = 0
+    coeff: Fraction = Fraction(1)
+    root: int = 1
+
+    @staticmethod
+    def make(xi_exp: int = 0, phase: int = 0, coeff=1, root: int = 1) -> "FracRadical":
+        coeff = Fraction(coeff)
+        if coeff < 0:
+            coeff, phase = -coeff, phase + 2
+        if coeff == 0:
+            return FracRadical(0, 0, Fraction(0), 1)
+        g, s = squarefree_decompose(root)
+        return FracRadical(xi_exp, phase % 4, coeff * g, s)
+
+    def __mul__(self, other: "FracRadical") -> "FracRadical":
+        if self.coeff == 0 or other.coeff == 0:
+            return FracRadical(0, 0, Fraction(0), 1)
+        g = gcd(self.root, other.root)
+        return FracRadical(self.xi_exp + other.xi_exp, (self.phase + other.phase) % 4,
+                           self.coeff * other.coeff * g, (self.root // g) * (other.root // g))
+
+    def conjugate(self) -> "FracRadical":
+        if self.coeff == 0:
+            return self
+        return FracRadical(-self.xi_exp, (-self.phase) % 4, self.coeff, self.root)
+
+    def __str__(self) -> str:
+        if self.coeff == 0:
+            return "0"
+        parts = []
+        if self.xi_exp:
+            parts.append(f"xi^{self.xi_exp}")
+        if self.phase:
+            parts.append(f"i^{self.phase}")
+        if self.root == 1:
+            parts.append(str(self.coeff))
+        elif self.coeff == 1:
+            parts.append(f"sqrt({self.root})")
+        else:
+            parts.append(f"{self.coeff}*sqrt({self.root})")
+        return " * ".join(parts)
+
+    def radical(self) -> Radical:
+        return Radical(self.xi_exp, self.phase, self.coeff.numerator, self.coeff.denominator,
+                       self.root)
+
+
+def radical(xi_exp: int = 0, phase: int = 0, coeff=1, root: int = 1) -> Radical:
+    """The normal form of xi^xi_exp * i^phase * coeff * sqrt(root), for any
+    rational coeff and positive integer root."""
+    return FracRadical.make(xi_exp, phase, coeff, root).radical()
+
+
+ONE = radical()
+
+
+def value(v: Radical, xi: complex = 1.0) -> complex:
+    """Numeric evaluation at a concrete nonzero xi."""
+    if v.is_zero:
+        return 0j
+    if xi == 0:
+        raise ValueError("xi must be nonzero")
+    return (xi ** v.xi_exp) * (1j ** v.phase) * (v.num / v.den) * (v.root ** 0.5)
+
+
 def sqrt_rational(r, phase: int = 0, xi_exp: int = 0) -> Radical:
     """Principal square root of a nonnegative rational, times i^phase * xi^xi_exp."""
     r = Fraction(r)
@@ -62,15 +143,14 @@ def sqrt_rational(r, phase: int = 0, xi_exp: int = 0) -> Radical:
         raise ValueError("radicand must be nonnegative")
     if r == 0:
         return Radical.zero()
-    return Radical.make(xi_exp, phase, Fraction(1, r.denominator), r.numerator * r.denominator)
+    return radical(xi_exp, phase, Fraction(1, r.denominator), r.numerator * r.denominator)
 
 
 def times_rational(v: Radical, q) -> Radical:
     q = Fraction(q)
     if q == 0 or v.is_zero:
         return Radical.zero()
-    phase = v.phase if q > 0 else (v.phase + 2) % 4
-    return Radical(v.xi_exp, phase, v.coeff * abs(q), v.root)
+    return radical(v.xi_exp, v.phase, Fraction(v.num, v.den) * q, v.root)
 
 
 def as_rational(v: Radical) -> Fraction:
@@ -79,7 +159,7 @@ def as_rational(v: Radical) -> Fraction:
         return Fraction(0)
     if v.xi_exp != 0 or v.root != 1 or v.phase % 2 != 0:
         raise ValueError(f"{v} is not rational")
-    return v.coeff if v.phase == 0 else -v.coeff
+    return Fraction(v.num if v.phase == 0 else -v.num, v.den)
 
 
 # -- face-path walks and the loop operator -----------------------------------------
@@ -106,7 +186,7 @@ def crossing_order(cfg: Configuration, word: str, w: int) -> int:
 
 def path_sqrt_product(cfg: Configuration, steps: str, w: int) -> Radical:
     """Ordered product of square-root values along a face path (no gauge)."""
-    out = Radical.one()
+    out = ONE
     for i, mid2, _ in cfg.lat.walk(w, steps):
         out = out * cfg.sqrt_value(i, mid2)
         if out.is_zero:
@@ -124,9 +204,17 @@ def path_poly_product(cfg: Configuration, steps: str, w: int) -> Fraction:
     return Fraction(num, den)
 
 
+def identity(n: int) -> MonomialMat:
+    return MonomialMat.diagonal([1] * n)
+
+
+def mat_is_zero(mat: MonomialMat) -> bool:
+    return all(col is None for col in mat.cols)
+
+
 def word_matrix(rep: ModuleRep, tokens) -> MonomialMat:
     """Product of generator matrices; the rightmost token acts first."""
-    out = MonomialMat.identity(rep.dim)
+    out = identity(rep.dim)
     for t in tokens:
         out = out @ rep.mats[t]
     return out

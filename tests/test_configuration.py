@@ -4,7 +4,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reference import as_rational, flip_corner, is_empty, max_area_path, sqrt_rational, vertex_val2
+from reference import (
+    ONE,
+    as_rational,
+    flip_corner,
+    is_empty,
+    max_area_path,
+    mult,
+    radical,
+    sqrt_rational,
+    vertex_val2,
+)
 from vertexmod.configuration import (
     Configuration,
     VertexPath,
@@ -27,7 +37,7 @@ def test_from_paths_walk(lat52):
 
 
 def test_shared_first_step(example2):
-    assert example2.mult(Edge("H", 1, 0)) == 2
+    assert mult(example2, Edge("H", 1, 0)) == 2
 
 
 def test_empty_path_list(lat52):
@@ -98,8 +108,8 @@ def test_count_above_brute_force(mn, k, seed):
 
 
 def test_sqrt_value(example2, lat52):
-    assert example2.sqrt_value(1, lat52.edge_mid2(Edge("V", 3, 2))) == Radical.make(phase=1, root=24)
-    assert Configuration(lat52, {}).sqrt_value(1, 4) == Radical.one()
+    assert example2.sqrt_value(1, lat52.edge_mid2(Edge("V", 3, 2))) == radical(phase=1, root=24)
+    assert Configuration(lat52, {}).sqrt_value(1, 4) == ONE
     assert example2.sqrt_value(1, lat52.edge_mid2(Edge("V", 2, 1))) == Radical.zero()  # supported edge
 
 
@@ -107,7 +117,7 @@ def _reference_edge_values(cfg, i, mid2):
     """P_i and q_i at mid2 rebuilt root by root, sharing no code with the memo."""
     roots = cfg.poly_roots(i)
     p = Fraction(1)
-    q = Radical(0, sum(1 for r in roots if r > mid2) % 4, Fraction(1), 1)
+    q = Radical(0, sum(1 for r in roots if r > mid2) % 4, 1, 1, 1)
     for r in roots:
         p *= Fraction(mid2 - r, 2)
         q = q * sqrt_rational(Fraction(abs(mid2 - r), 2))
@@ -149,7 +159,7 @@ def test_edges_are_read_only(example2, lat52):
         example2.edges[e] = 5
     with pytest.raises(TypeError):
         del example2.edges[e]
-    assert example2.mult(e) == 2
+    assert mult(example2, e) == 2
     assert example2.sqrt_value(2, 5) == q
     again = from_paths(lat52, [VertexPath((0, 0), "1121112"), VertexPath((0, 0), "1212111")])
     assert again == example2

@@ -1,15 +1,15 @@
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
-from reference import as_rational, sqrt_rational
+from reference import ONE, FracRadical, as_rational, identity, radical, sqrt_rational, value
 from vertexmod.linalg import MonomialMat
 from vertexmod.scalar import Radical, squarefree_decompose
 
 radicals = st.builds(
-    lambda k, a, num, den, root: Radical.make(k, a, Fraction(num, den), root),
+    lambda k, a, num, den, root: radical(k, a, Fraction(num, den), root),
     st.integers(-3, 3), st.integers(0, 3),
     st.integers(0, 12), st.integers(1, 9), st.integers(1, 80),
 )
@@ -25,28 +25,46 @@ def test_squarefree_decompose(n):
 
 
 def test_make_normal_form():
-    assert Radical.make(coeff=0, xi_exp=3, phase=1, root=12) == Radical.zero()
-    assert Radical.make(root=24) == Radical(0, 0, Fraction(2), 6)
-    assert Radical.make(coeff=-3) == Radical(0, 2, Fraction(3), 1)
-    assert sqrt_rational(Fraction(3, 2)) == Radical(0, 0, Fraction(1, 2), 6)
+    assert radical(coeff=0, xi_exp=3, phase=1, root=12) == Radical.zero()
+    assert radical(root=24) == Radical(0, 0, 2, 1, 6)
+    assert radical(coeff=-3) == Radical(0, 2, 3, 1, 1)
+    assert sqrt_rational(Fraction(3, 2)) == Radical(0, 0, 1, 2, 6)
 
 
 def test_mul_examples():
     # square of the square root recovers the signed polynomial value
-    q = Radical.make(phase=1, root=24)
+    q = radical(phase=1, root=24)
     assert as_rational(q * q) == -24
-    x = Radical.make(phase=3, coeff=Fraction(5, 2), root=10)
-    assert x * Radical.one() == x
-    a = Radical.make(xi_exp=1, root=2)
-    b = Radical.make(xi_exp=-1, root=2)
+    x = radical(phase=3, coeff=Fraction(5, 2), root=10)
+    assert x * ONE == x
+    a = radical(xi_exp=1, root=2)
+    b = radical(xi_exp=-1, root=2)
     assert as_rational(a * b) == 2
 
 
 def test_conjugate_examples():
-    assert Radical.make(phase=1, root=24).conjugate() == Radical.make(phase=3, root=24)
-    x = Radical.make(coeff=7)
+    assert radical(phase=1, root=24).conjugate() == radical(phase=3, root=24)
+    x = radical(coeff=7)
     assert x.conjugate() == x
     assert Radical.xi_power(2).conjugate() == Radical.xi_power(-2)
+
+
+oracle_values = st.builds(
+    lambda k, a, num, den, root: FracRadical.make(k, a, Fraction(num, den), root),
+    st.integers(-3, 3), st.integers(-4, 7),
+    st.integers(-40, 40), st.integers(1, 64), st.integers(1, 400),
+)
+
+
+@given(oracle_values, oracle_values)
+def test_radical_agrees_with_fraction_oracle(x, y):
+    # the integer normal form against the Fraction-coefficient reference
+    a, b = x.radical(), y.radical()
+    assert a.den >= 1 and gcd(a.num, a.den) == 1 and squarefree_decompose(a.root)[0] == 1
+    assert a * b == (x * y).radical()
+    assert a.conjugate() == x.conjugate().radical()
+    assert (a == b) == (x == y)
+    assert str(a) == str(x) and str(a * b) == str(x * y)
 
 
 @given(nonzero_radicals, nonzero_radicals, nonzero_radicals)
@@ -68,15 +86,15 @@ def test_conjugate_multiplicative(x, y):
 @given(radicals, radicals)
 def test_numeric_consistency(x, y):
     xi = complex(0.6, 0.8)  # unit modulus
-    lhs = (x * y).value(xi)
-    rhs = x.value(xi) * y.value(xi)
+    lhs = value(x * y, xi)
+    rhs = value(x, xi) * value(y, xi)
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
 
 @given(radicals)
 def test_conjugate_matches_numeric(x):
     xi = complex(0.6, 0.8)
-    assert abs(x.conjugate().value(xi) - x.value(xi).conjugate()) < 1e-9
+    assert abs(value(x.conjugate(), xi) - value(x, xi).conjugate()) < 1e-9
 
 
 XI = complex(0.6, 0.8)  # unit modulus
@@ -93,7 +111,7 @@ def monomial_dicts(draw, dim):
 def dense(dim, entries):
     out = [[0j] * dim for _ in range(dim)]
     for (r, c), v in entries.items():
-        out[r][c] = v.value(XI)
+        out[r][c] = value(v, XI)
     return out
 
 
@@ -106,7 +124,7 @@ def assert_matches(mat, expected):
     n = len(expected)
     for r in range(n):
         for c in range(n):
-            got = mat.entry(r, c).value(XI)
+            got = value(mat.entry(r, c), XI)
             assert abs(got - expected[r][c]) <= 1e-9 * max(1.0, abs(got))
 
 
@@ -121,7 +139,7 @@ def test_monomial_mat_matches_dense(args):
     conj = [[da[c][r].conjugate() for c in range(dim)] for r in range(dim)]
     assert_matches(a.conj_transpose(), conj)
     assert (a @ b).conj_transpose() == b.conj_transpose() @ a.conj_transpose()
-    assert a @ MonomialMat.identity(dim) == a == MonomialMat.identity(dim) @ a
+    assert a @ identity(dim) == a == identity(dim) @ a
 
 
 @given(st.integers(2, 6).flatmap(lambda n: st.tuples(st.just(n), monomial_dicts(n))),
@@ -146,17 +164,17 @@ def test_monomial_mat_rejects_second_entry(args, extra, data):
 
 
 def test_display_form():
-    assert str(Radical.make(xi_exp=1, phase=3, coeff=2, root=6)) == "xi^1 * i^3 * 2*sqrt(6)"
+    assert str(radical(xi_exp=1, phase=3, coeff=2, root=6)) == "xi^1 * i^3 * 2*sqrt(6)"
     assert str(Radical.zero()) == "0"
-    assert str(Radical.one()) == "1"
-    assert str(Radical.make(root=2)) == "sqrt(2)"
-    assert str(Radical.make(coeff=Fraction(3, 2))) == "3/2"
+    assert str(ONE) == "1"
+    assert str(radical(root=2)) == "sqrt(2)"
+    assert str(radical(coeff=Fraction(3, 2))) == "3/2"
 
 
 def test_as_rational_rejects_irrational():
     with pytest.raises(ValueError):
-        as_rational(Radical.make(root=2))
+        as_rational(radical(root=2))
     with pytest.raises(ValueError):
-        as_rational(Radical.make(phase=1))
+        as_rational(radical(phase=1))
     with pytest.raises(ValueError):
-        as_rational(Radical.make(xi_exp=1))
+        as_rational(radical(xi_exp=1))

@@ -1,5 +1,4 @@
 import ast
-import re
 from pathlib import Path
 
 import vertexmod
@@ -7,8 +6,9 @@ import vertexmod
 PACKAGE = Path(vertexmod.__file__).parent
 ROOT = PACKAGE.parent.parent
 
-# Package functions that only tests call, each with the reason it is kept.
-# None today: the test-only references live in tests/reference.py.
+# Package functions that only tests call, as "name" or "Class.name", each
+# with the reason it is kept.  None today: the test-only references live in
+# tests/reference.py.
 TEST_ONLY: dict[str, str] = {}
 
 
@@ -22,23 +22,45 @@ def test_package_has_no_assert_statements():
     assert not found, found
 
 
+def _uses(tree: ast.AST) -> list[tuple[str, int, bool]]:
+    """(name, line, is attribute) of every attribute read, name and import."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno, True))
+        elif isinstance(node, ast.Name):
+            out.append((node.id, node.lineno, False))
+        elif isinstance(node, ast.alias):
+            out.append((node.name, node.lineno, False))
+    return out
+
+
 def test_every_package_function_has_a_non_test_caller():
-    # a def or class must be named outside its own definition somewhere in
-    # src/, scripts/ or perfbench/, unless it is listed in TEST_ONLY
-    sources = {path: path.read_text(encoding="utf-8").splitlines()
-               for d in ("src", "scripts", "perfbench") for path in sorted((ROOT / d).rglob("*.py"))}
+    # a method must be read as an attribute, and a module-level def or class
+    # named, read as an attribute or imported, outside its own definition
+    # somewhere in src/, scripts/ or perfbench/, unless it is listed in
+    # TEST_ONLY; words in docstrings and comments do not count
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for d in ("src", "scripts", "perfbench") for path in sorted((ROOT / d).rglob("*.py"))}
+    uses: dict[str, list[tuple[Path, int, bool]]] = {}
+    for path, tree in trees.items():
+        for name, line, attr in _uses(tree):
+            uses.setdefault(name, []).append((path, line, attr))
     unused = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse("\n".join(sources[path]), filename=str(path))):
+        body = trees[path].body
+        defs = [(node, None) for node in body]
+        defs += [(item, node.name) for node in body if isinstance(node, ast.ClassDef)
+                 for item in node.body]
+        for node, cls in defs:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            own = range(node.lineno - 1, node.end_lineno)
-            if not any(word.search(line) for src, lines in sources.items()
-                       for j, line in enumerate(lines) if not (src == path and j in own)):
-                unused.add(name)
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any((attr or cls is None) and not (src == path and line in own)
+                       for src, line, attr in uses.get(name, [])):
+                unused.add(f"{cls}.{name}" if cls else name)
     assert unused - TEST_ONLY.keys() == set(), "called only from tests"
     assert TEST_ONLY.keys() - unused == set(), "listed in TEST_ONLY but called outside tests"

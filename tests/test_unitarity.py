@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import staircase_band
-from reference import adjoint_matrix, check_sign_consistency, path_phase2, times_rational
+from reference import adjoint_matrix, check_sign_consistency, path_phase2, times_rational, value
 from vertexmod.configfile import parse
 from vertexmod.configuration import Configuration, VertexPath, from_paths, random_config
 from vertexmod.lattice import Lattice
@@ -351,8 +351,8 @@ def test_numeric_invariance_at_unit_xi(example1_d4):
             plus = rep.mats[f"X{i}+"]
             minus = rep.mats[f"X{i}-"]
             for (r, c), v in plus.items():
-                lhs = v.value(xi).conjugate() * G[r]
-                rhs = G[c] * minus.entry(c, r).value(xi)
+                lhs = value(v, xi).conjugate() * G[r]
+                rhs = G[c] * value(minus.entry(c, r), xi)
                 assert abs(lhs - rhs) < 1e-9
         res = casimir(rep, "12")
-        assert abs(res.scalar.value(xi) - xi) < 1e-9
+        assert abs(value(res.scalar, xi) - xi) < 1e-9
