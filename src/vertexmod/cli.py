@@ -217,15 +217,18 @@ def cmd_casimir(args) -> int:
     cfg, _, comp = _component(cf, args.component)
     if not comp.finite and window is None:
         raise CliError("infinite component: pass --window A B")
-    rep = build_module(cfg, comp, window=window)
     lat = cfg.lat
     if args.all_words:
-        words = balanced_words(lat.m, lat.n)
+        try:
+            words = balanced_words(lat.m, lat.n)
+        except ValueError as exc:  # too many words to enumerate
+            raise CliError(str(exc)) from exc
     else:
         word = args.word or "1" * lat.m + "2" * lat.n
         if word.count("1") != lat.m or word.count("2") != lat.n or set(word) - {"1", "2"}:
             raise CliError(f"--word must contain {lat.m} ones and {lat.n} twos")
         words = [word]
+    rep = build_module(cfg, comp, window=window)
     rows, scalars = [], []
     for w in words:
         res = casimir(rep, w)

@@ -9,13 +9,16 @@ Grammar ('#' starts a comment, blank lines are ignored):
     xi <re> <im>                    (optional concrete evaluation point)
 
 The period line must precede every path and edge line.  Paths must contain
-exactly m ones and n twos.  Errors carry 1-based line and column positions.
+exactly m ones and n twos.  The parts of xi are exact decimal or fraction
+literals (0.6, 3/5, 6e-1), with an exponent below 1000 in magnitude.
+Errors carry 1-based line and column positions.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .configuration import Configuration, VertexPath, from_edges, from_paths
 from .lattice import Edge, Lattice
@@ -36,7 +39,7 @@ class ConfigFile:
     paths: list[VertexPath] = field(default_factory=list)
     edges: list[tuple[Edge, int]] = field(default_factory=list)
     involution: str = "star"
-    xi: complex | None = None
+    xi: tuple[Fraction, Fraction] | None = None  # (re, im), exact
 
     def lattice(self) -> Lattice:
         return Lattice(self.m, self.n)
@@ -130,9 +133,12 @@ def parse(text: str) -> ConfigFile:
                 err("duplicate xi line")
             if len(toks) != 3:
                 err("xi takes <re> <im>")
+            for j, tok in enumerate(toks[1:], start=1):
+                if re.search(r"[eE][-+]?0*[1-9]\d{3}", tok):
+                    err(f"xi component exponent out of range in {tok!r}", j)
             try:
-                xi = complex(float(toks[1]), float(toks[2]))
-            except ValueError:
+                xi = (Fraction(toks[1]), Fraction(toks[2]))
+            except (ValueError, ZeroDivisionError):
                 err("xi components must be numbers", 1)
             seen_xi = True
         else:

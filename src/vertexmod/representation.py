@@ -1,10 +1,11 @@
-"""Weight modules over a component: monomial generator matrices.
+"""Weight modules over a component: monomial generator columns.
 
 On the faces of a component the four generators act by monomial matrices:
 stepping across an edge multiplies by the square-root value of that edge,
 and by construction a step across a supported edge carries factor zero, so
-the matrices restrict exactly to the component.  The diagonal generator acts
-by the face weights.
+the matrices restrict exactly to the component.  Each is stored as one
+``(row, Radical)`` or ``None`` per basis face, its column.  The diagonal
+generator acts by the face weights.
 
 The winding gauge: each basis face carries the plane lift chosen by the
 component flood fill, and a step whose target lift returns through another
@@ -18,7 +19,7 @@ Verification helpers check the defining relations
     [H, Xi+-] = +-alpha_i Xi+-      Xi+- Xi-+ = P_i(H -+ alpha_i/2)
     [X1+-, X2-+] = 0
 
-as exact matrix identities, evaluate ordered products of square-root values
+face by face as exact identities, evaluate ordered products of square-root values
 along face paths, and extract the Casimir scalar from the balanced loop
 operator divided by its order polynomial.
 """
@@ -31,7 +32,6 @@ from itertools import combinations
 from math import comb, gcd
 
 from .configuration import Configuration
-from .linalg import MonomialMat
 from .scalar import Radical
 from .topology import Component, window_flood
 
@@ -57,7 +57,8 @@ class ModuleRep:
     comp: Component
     weights: list[int]  # increasing; basis order
     lifts: dict[int, tuple[int, int]]
-    mats: dict[str, MonomialMat]  # X1+, X1-, X2+, X2- and H
+    # per generator X1+-, X2+-: one (row, Radical) or None per basis face
+    cols: dict[str, tuple]
     window: tuple[int, int] | None = None
     _index: dict[int, int] = field(default_factory=dict, repr=False)
     # casimir's chain states, built on its first call
@@ -81,11 +82,12 @@ class ModuleRep:
         """Plain text 'row col value' lines for external inspection."""
         if gen == "H":
             return "\n".join(f"{i} {i} {w}" for i, w in enumerate(self.weights))
-        return "\n".join(f"{r} {c} {val}" for (r, c), val in sorted(self.mats[gen].items()))
+        entries = sorted((e[0], c, e[1]) for c, e in enumerate(self.cols[gen]) if e is not None)
+        return "\n".join(f"{r} {c} {val}" for r, c, val in entries)
 
 
 def build_module(cfg: Configuration, comp: Component, window: tuple[int, int] | None = None) -> ModuleRep:
-    """Basis, lifts and the generator matrices X1+-, X2+- and H over a component.
+    """Basis, lifts and the generator columns of X1+- and X2+- over a component.
 
     Finite components are used whole (window ignored); infinite ones require
     a weight window and yield a truncation whose boundary rows are only
@@ -101,19 +103,19 @@ def build_module(cfg: Configuration, comp: Component, window: tuple[int, int] | 
         basis, lifts = window_flood(cfg, comp, lo, hi)
     lat = cfg.lat
     idx = {w: i for i, w in enumerate(basis)}
-    entries: dict[str, dict[tuple[int, int], Radical]] = {g: {} for g in GENERATORS}
+    cols = {}
     for gen in GENERATORS:
         dw, i, (sx, sy) = lat.steps[gen]
+        col = []
         for w in basis:
             q = cfg.sqrt_value(i, 2 * w + dw)
             w2 = w + dw
-            if w2 not in idx:
-                if comp.finite and not q.is_zero:
-                    raise AssertionError(
-                        f"{gen} leaves finite component {comp.id} with nonzero factor at weight {w}"
-                    )
-                continue
-            if q.is_zero:
+            if w2 not in idx and comp.finite and not q.is_zero:
+                raise AssertionError(
+                    f"{gen} leaves finite component {comp.id} with nonzero factor at weight {w}"
+                )
+            if w2 not in idx or q.is_zero:
+                col.append(None)
                 continue
             lx, ly = lifts[w]
             tx, ty = lifts[w2]
@@ -122,11 +124,10 @@ def build_module(cfg: Configuration, comp: Component, window: tuple[int, int] | 
                 raise AssertionError(f"{gen} lifts at weight {w} differ by a non-period")
             if k and comp.contractible:
                 raise AssertionError("winding factor inside a contractible component")
-            entries[gen][(idx[w2], idx[w])] = q._replace(xi_exp=k)
-    mats = {g: MonomialMat(len(basis), entries[g]) for g in GENERATORS}
-    mats["H"] = MonomialMat.diagonal(basis)
+            col.append((idx[w2], q._replace(xi_exp=k)))
+        cols[gen] = tuple(col)
     return ModuleRep(cfg=cfg, comp=comp, weights=basis, lifts=lifts,
-                     mats=mats, window=None if comp.finite else window)
+                     cols=cols, window=None if comp.finite else window)
 
 
 # -- relation verification ----------------------------------------------------
@@ -144,56 +145,68 @@ class RelationReport:
 
 
 def verify_relations(rep: ModuleRep) -> RelationReport:
-    """Check the defining relations as exact matrix identities.
+    """Check the defining relations as exact identities, face by face.
+
+    Every weight space is one-dimensional, so each relation is a scalar
+    identity at one face j: a product of generators maps j to at most one
+    face, with one ``Radical`` value.  Xi+- Xi-+ must return to j with the
+    value of P_i there, and the two orders of a mixed commutator must land
+    on the same face with the same value.
 
     For windowed modules a relation instance is asserted only when each of
     its face paths stays in the basis until it first crosses a supported
     edge, whose factor is zero; anything else is reported as skipped, never
     silently passed.
     """
-    cfg, steps, mats = rep.cfg, rep.cfg.lat.steps, rep.mats
+    cfg, steps, cols, weights = rep.cfg, rep.cfg.lat.steps, rep.cols, rep.weights
     report = RelationReport(failures=[], skipped=[])
 
     # H-commutators
     for gen in GENERATORS:
-        for (r, c), _ in mats[gen].items():
-            if rep.weights[r] - rep.weights[c] != steps[gen].dw:
-                report.failures.append(
-                    f"[H,{gen}] fails at basis weight {rep.weights[c]}"
-                )
+        for c, e in enumerate(cols[gen]):
+            if e is None:
+                continue
+            if weights[e[0]] - weights[c] != steps[gen].dw:
+                report.failures.append(f"[H,{gen}] fails at basis weight {weights[c]}")
             report.checked += 1
 
     # product relations Xi+- Xi-+ = P_i(H -+ alpha_i/2)
     for gen, opp in (("X1+", "X1-"), ("X1-", "X1+"), ("X2+", "X2-"), ("X2-", "X2+")):
         dw_opp, i, _ = steps[opp]
-        prod = mats[gen] @ mats[opp]
-        if not prod.is_diagonal():
+        prod = [_path(cols, j, opp, gen) for j in range(rep.dim)]
+        if any(p is not None and p[0] != j for j, p in enumerate(prod)):
             report.failures.append(f"{gen}{opp} is not diagonal")
-        for j, w in enumerate(rep.weights):
+        for j, w in enumerate(weights):
             if rep.windowed and _leaves_basis(rep, w, (opp,)):
                 report.skipped.append(f"{gen}{opp} at weight {w} (window boundary)")
                 continue
             expected = cfg.poly_eval(i, 2 * w + dw_opp)
-            got = prod.entry(j, j)
+            got = prod[j][1] if prod[j] is not None and prod[j][0] == j else Radical.zero()
             if got != Radical.from_rational(expected):
                 report.failures.append(
                     f"{gen}{opp} at weight {w}: got {got}, expected {expected}"
                 )
             report.checked += 1
 
-    # mixed commutators [X1+-, X2-+] = 0, as equal columns of both products
+    # mixed commutators [X1+-, X2-+] = 0: both orders land alike
     for g1, g2 in (("X1+", "X2-"), ("X1-", "X2+")):
-        ab = (mats[g1] @ mats[g2]).cols
-        ba = (mats[g2] @ mats[g1]).cols
-        for j, w in enumerate(rep.weights):
+        for j, w in enumerate(weights):
             if rep.windowed and (_leaves_basis(rep, w, (g2, g1))
                                  or _leaves_basis(rep, w, (g1, g2))):
                 report.skipped.append(f"[{g1},{g2}] at weight {w} (window boundary)")
                 continue
-            if ab[j] != ba[j]:
+            if _path(cols, j, g2, g1) != _path(cols, j, g1, g2):
                 report.failures.append(f"[{g1},{g2}] fails at basis weight {w}")
             report.checked += 1
     return report
+
+
+def _path(cols: dict[str, tuple], j: int, first: str, then: str) -> tuple[int, Radical] | None:
+    """Where generator ``first``, then ``then``, moves face j, and with what
+    value; None where the product vanishes."""
+    e = cols[first][j]
+    f = e and cols[then][e[0]]
+    return f and (f[0], f[1] * e[1])
 
 
 def _leaves_basis(rep: ModuleRep, w: int, path) -> bool:
@@ -373,7 +386,7 @@ def casimir(rep: ModuleRep, word: str) -> CasimirResult:
     """
     cfg = rep.cfg
     _loop_orders(cfg, word)  # the word is balanced and its crossings agree
-    plus = (rep.mats["X1+"].cols, rep.mats["X2+"].cols)
+    plus = (rep.cols["X1+"], rep.cols["X2+"])
     chain = rep._chain
     if chain is None or chain[0] is not plus[0] or chain[1] is not plus[1]:
         # a contractible module's scalar is 0 whatever the chain values

@@ -2,8 +2,9 @@
 
 Each one recomputes something the package computes a faster or more
 structured way: ``Radical`` arithmetic over a ``Fraction`` coefficient,
-loop products by walking face paths, the loop operator as a matrix product,
-rational and numeric views of ``Radical`` values, the form adjoint, and the
+loop products by walking face paths, the generators as monomial matrices
+with the loop operator and both module checks as matrix products, rational
+and numeric views of ``Radical`` values, the form adjoint, and the
 brute-force path independence of the face sign.  The few constructors and
 queries that only tests need live here too, so that the package holds only
 what its commands and the benchmark run.
@@ -19,10 +20,9 @@ from math import gcd
 
 from vertexmod.configuration import Configuration, VertexPath
 from vertexmod.lattice import Edge, Lattice, Vertex
-from vertexmod.linalg import MonomialMat
-from vertexmod.representation import ModuleRep
+from vertexmod.representation import GENERATORS, ModuleRep, RelationReport, _leaves_basis
 from vertexmod.scalar import Radical, squarefree_decompose
-from vertexmod.unitarity import gram_matrix
+from vertexmod.unitarity import InvarianceReport, gram_diag
 
 
 # -- lattice and configuration -------------------------------------------------
@@ -204,6 +204,91 @@ def path_poly_product(cfg: Configuration, steps: str, w: int) -> Fraction:
     return Fraction(num, den)
 
 
+# -- monomial matrices and the module checks as matrix products -----------------------
+
+
+class MonomialMat:
+    """Square matrix with at most one nonzero entry in every row and column.
+
+    Stored as one ``(row, Radical)`` or ``None`` per column, so a product
+    costs O(dim) and equality is exact.  Zero entries are never stored, and
+    a matrix never changes after construction.
+    """
+
+    __slots__ = ("cols",)
+
+    def __init__(self, dim: int, entries: dict[tuple[int, int], Radical]):
+        cols: list[tuple[int, Radical] | None] = [None] * dim
+        rows = set()
+        for (r, c), val in entries.items():
+            if val.is_zero:
+                continue
+            if cols[c] is not None or r in rows:
+                raise ValueError(f"second entry in row {r} or column {c}")
+            cols[c] = (r, val)
+            rows.add(r)
+        self.cols = tuple(cols)
+
+    @classmethod
+    def diagonal(cls, values) -> "MonomialMat":
+        vals = [v if isinstance(v, Radical) else Radical.from_rational(v) for v in values]
+        return cls(len(vals), {(i, i): v for i, v in enumerate(vals)})
+
+    @classmethod
+    def _from_cols(cls, cols) -> "MonomialMat":
+        out = cls.__new__(cls)
+        out.cols = tuple(cols)
+        return out
+
+    @property
+    def dim(self) -> int:
+        return len(self.cols)
+
+    def items(self) -> list[tuple[tuple[int, int], Radical]]:
+        """((row, column), value) of every stored entry, in column order."""
+        return [((col[0], c), col[1]) for c, col in enumerate(self.cols) if col is not None]
+
+    def entry(self, r: int, c: int) -> Radical:
+        col = self.cols[c]
+        return col[1] if col is not None and col[0] == r else Radical.zero()
+
+    def __matmul__(self, other: "MonomialMat") -> "MonomialMat":
+        if self.dim != other.dim:
+            raise ValueError(f"shape mismatch {self.dim} @ {other.dim}")
+        out = []
+        for col in other.cols:
+            mid = None if col is None else self.cols[col[0]]
+            out.append(None if mid is None else (mid[0], mid[1] * col[1]))
+        return MonomialMat._from_cols(out)
+
+    def conj_transpose(self) -> "MonomialMat":
+        out: list[tuple[int, Radical] | None] = [None] * self.dim
+        for c, col in enumerate(self.cols):
+            if col is not None:
+                out[col[0]] = (c, col[1].conjugate())
+        return MonomialMat._from_cols(out)
+
+    def is_diagonal(self) -> bool:
+        return all(col is None or col[0] == c for c, col in enumerate(self.cols))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MonomialMat):
+            return NotImplemented
+        return self.cols == other.cols
+
+
+def mat(rep: ModuleRep, gen: str) -> MonomialMat:
+    """The generator's matrix on the module: its stored columns, or H as the weights."""
+    if gen == "H":
+        return MonomialMat.diagonal(rep.weights)
+    return MonomialMat(rep.dim, {(e[0], c): e[1] for c, e in enumerate(rep.cols[gen])
+                                 if e is not None})
+
+
+def gram_matrix(rep: ModuleRep) -> MonomialMat:
+    return MonomialMat.diagonal(gram_diag(rep))
+
+
 def identity(n: int) -> MonomialMat:
     return MonomialMat.diagonal([1] * n)
 
@@ -216,7 +301,7 @@ def word_matrix(rep: ModuleRep, tokens) -> MonomialMat:
     """Product of generator matrices; the rightmost token acts first."""
     out = identity(rep.dim)
     for t in tokens:
-        out = out @ rep.mats[t]
+        out = out @ mat(rep, t)
     return out
 
 
@@ -228,7 +313,58 @@ def loop_matrix(rep: ModuleRep, word: str) -> MonomialMat:
 def adjoint_matrix(rep: ModuleRep, gen: str) -> MonomialMat:
     """Form adjoint G^-1 M^dagger G (G is its own inverse)."""
     G = gram_matrix(rep)
-    return G @ rep.mats[gen].conj_transpose() @ G
+    return G @ mat(rep, gen).conj_transpose() @ G
+
+
+def matrix_relations(rep: ModuleRep) -> RelationReport:
+    """``verify_relations`` as exact matrix identities, message for message."""
+    cfg, steps = rep.cfg, rep.cfg.lat.steps
+    mats = {g: mat(rep, g) for g in GENERATORS}
+    report = RelationReport(failures=[], skipped=[])
+    for gen in GENERATORS:
+        for (r, c), _ in mats[gen].items():
+            if rep.weights[r] - rep.weights[c] != steps[gen].dw:
+                report.failures.append(f"[H,{gen}] fails at basis weight {rep.weights[c]}")
+            report.checked += 1
+    for gen, opp in (("X1+", "X1-"), ("X1-", "X1+"), ("X2+", "X2-"), ("X2-", "X2+")):
+        dw_opp, i, _ = steps[opp]
+        prod = mats[gen] @ mats[opp]
+        if not prod.is_diagonal():
+            report.failures.append(f"{gen}{opp} is not diagonal")
+        for j, w in enumerate(rep.weights):
+            if rep.windowed and _leaves_basis(rep, w, (opp,)):
+                report.skipped.append(f"{gen}{opp} at weight {w} (window boundary)")
+                continue
+            expected = cfg.poly_eval(i, 2 * w + dw_opp)
+            got = prod.entry(j, j)
+            if got != Radical.from_rational(expected):
+                report.failures.append(f"{gen}{opp} at weight {w}: got {got}, expected {expected}")
+            report.checked += 1
+    for g1, g2 in (("X1+", "X2-"), ("X1-", "X2+")):
+        ab = (mats[g1] @ mats[g2]).cols
+        ba = (mats[g2] @ mats[g1]).cols
+        for j, w in enumerate(rep.weights):
+            if rep.windowed and (_leaves_basis(rep, w, (g2, g1))
+                                 or _leaves_basis(rep, w, (g1, g2))):
+                report.skipped.append(f"[{g1},{g2}] at weight {w} (window boundary)")
+                continue
+            if ab[j] != ba[j]:
+                report.failures.append(f"[{g1},{g2}] fails at basis weight {w}")
+            report.checked += 1
+    return report
+
+
+def matrix_invariance(rep: ModuleRep) -> InvarianceReport:
+    """``verify_invariance`` as exact matrix identities, H included."""
+    G = gram_matrix(rep)
+    failures = []
+    for i in (1, 2):
+        if mat(rep, f"X{i}+").conj_transpose() @ G != G @ mat(rep, f"X{i}-"):
+            failures.append(f"form invariance fails for X{i}+-")
+    H = mat(rep, "H")
+    if H.conj_transpose() != H:
+        failures.append("H is not real diagonal")
+    return InvarianceReport(failures=failures, checked=3)
 
 
 # -- path independence of the face sign ----------------------------------------------

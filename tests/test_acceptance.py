@@ -26,9 +26,12 @@ import pytest
 
 from conftest import staircase_band
 from reference import (
+    MonomialMat,
     check_sign_consistency,
+    gram_matrix,
     identity,
     loop_matrix,
+    mat,
     mat_is_zero,
     path_poly_product,
     path_sqrt_product,
@@ -38,7 +41,6 @@ from vertexmod.cli import main
 from vertexmod.configfile import parse
 from vertexmod.configuration import Configuration, random_config
 from vertexmod.lattice import Lattice
-from vertexmod.linalg import MonomialMat
 from vertexmod.representation import (
     balanced_words,
     build_module,
@@ -58,7 +60,6 @@ from vertexmod.topology import (
 from vertexmod.unitarity import (
     SignTable,
     gram_diag,
-    gram_matrix,
     signature_coloring,
     signature_direct,
     unitarizability_report,
@@ -216,7 +217,7 @@ def test_criterion_03_example3(examples):
     for k in (1, 2, 3):
         xi = cmath.exp(2j * cmath.pi * k / 9)
         for i in (1, 2):
-            plus, minus = rep.mats[f"X{i}+"], rep.mats[f"X{i}-"]
+            plus, minus = mat(rep, f"X{i}+"), mat(rep, f"X{i}-")
             for (r, c), v in plus.items():
                 lhs = value(v, xi).conjugate() * g[r]
                 rhs = g[c] * value(minus.entry(c, r), xi)

@@ -1,5 +1,6 @@
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +132,29 @@ def test_casimir_command(band_file, capsys):
     assert obj["independent"]
     assert {r["word"] for r in obj["words"]} == {"12", "21"}
     assert all(r["scalar"] == "xi^1 * 1" for r in obj["words"])
+
+
+def test_casimir_all_words_limit_is_a_usage_error(tmp_path, capsys):
+    p = tmp_path / "wide.cfg"
+    p.write_text("period 15 7\n")
+    assert main(["casimir", str(p), "--component", "0", "--window", "-3", "3", "--all-words"]) == 2
+    assert capsys.readouterr().err == "error: refusing to enumerate C(22,7) = 170544 words\n"
+
+
+@pytest.mark.parametrize("xi, verdict, dual", [
+    ("0.6 0.8", "True", "3/5 4/5"),
+    ("0.6 0.8000000000001", "False",
+     "20000000000000000000000000/33333333333338666666666667 "
+     "8888888888890000000000000/11111111111112888888888889"),
+])
+def test_signature_xi_is_exact(tmp_path, capsys, xi, verdict, dual):
+    # unimodularity is decided exactly and the dual parameter printed exactly
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    p = tmp_path / "ex3.cfg"
+    p.write_text((configs / "example3.cfg").read_text() + f"xi {xi}\n")
+    assert main(["signature", str(p), "--component", "1"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"pseudo-unitarizable: {verdict} (dual parameter {dual})"
 
 
 def test_render_ascii_and_svg(ex2_file, tmp_path, capsys):

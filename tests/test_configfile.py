@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -84,13 +86,26 @@ xi 0.6 0.8
 """
     cf = parse(text)
     assert cf.involution == "dagger"
-    assert cf.xi == complex(0.6, 0.8)
+    assert cf.xi == (Fraction(3, 5), Fraction(4, 5))
     cfg = cf.configuration()
     assert mult(cfg, ("H", 1, 0)) == 2
     with pytest.raises(ParseError):
         parse("period 5 2\nedge V 0 0 0\n")
     with pytest.raises(ParseError):
         parse("period 5 2\ninvolution flip\n")
+
+
+def test_parse_xi_exactly():
+    assert parse("period 5 2\nxi 3/5 -8e-1\n").xi == (Fraction(3, 5), Fraction(-4, 5))
+    assert parse("period 5 2\nxi 0.6 0.8000000000001\n").xi[1] == Fraction(8000000000001,
+                                                                          10**13)
+    for bad in ("nan 1", "1 inf", "1/0 1", "x 1"):
+        with pytest.raises(ParseError, match="col 4: xi components must be numbers"):
+            parse(f"period 5 2\nxi {bad}\n")
+    # an exponent is refused before it is expanded
+    with pytest.raises(ParseError, match="col 6: xi component exponent out of range"):
+        parse("period 5 2\nxi 1 1e1000\n")
+    assert parse("period 5 2\nxi 1e-999 0\n").xi == (Fraction(1, 10**999), 0)
 
 
 def test_comments_and_blanks():

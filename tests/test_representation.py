@@ -8,10 +8,15 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import staircase_band
 from reference import (
     ONE,
+    MonomialMat,
     crossing_order,
+    gram_matrix,
     identity,
     loop_matrix,
+    mat,
     mat_is_zero,
+    matrix_invariance,
+    matrix_relations,
     path_poly_product,
     path_sqrt_product,
     radical,
@@ -21,7 +26,6 @@ from reference import (
 from vertexmod import representation
 from vertexmod.configuration import Configuration, from_edges, random_config
 from vertexmod.lattice import Edge, Lattice
-from vertexmod.linalg import MonomialMat
 from vertexmod.representation import (
     GENERATORS,
     CasimirResult,
@@ -35,7 +39,7 @@ from vertexmod.representation import (
 )
 from vertexmod.scalar import Radical
 from vertexmod.topology import components
-from vertexmod.unitarity import gram_matrix
+from vertexmod.unitarity import verify_invariance
 
 lattices = st.sampled_from([(1, 1), (2, 1), (3, 2), (5, 2)])
 wide_lattices = st.sampled_from([(3, 2), (5, 2), (5, 3), (4, 3)])
@@ -59,19 +63,21 @@ def test_build_module_example2(example2):
     d2, d1 = comps[0], comps[1]
     rep1 = build_module(example2, d1)
     assert rep1.dim == 1 and rep1.weights == [1]
-    assert all(mat_is_zero(rep1.mats[g]) for g in GENERATORS)  # every boundary edge is supported
+    assert all(mat_is_zero(mat(rep1, g)) for g in GENERATORS)  # every boundary edge is supported
     rep2 = build_module(example2, d2)
     assert rep2.weights == [0, 2, 4]
     # the step from weight 2 to weight 4 crosses the midpoint-3 edge
-    assert rep2.mats["X1-"].entry(2, 1) == radical(phase=1, root=24)
+    assert mat(rep2, "X1-").entry(2, 1) == radical(phase=1, root=24)
     assert verify_relations(rep2).ok
 
 
 def corrupt(rep, gen, rc, change):
-    """Rebuild the generator matrix with the entry at rc replaced by change(entry)."""
-    entries = dict(rep.mats[gen].items())
-    entries[rc] = change(entries[rc])
-    rep.mats[gen] = MonomialMat(rep.dim, entries)
+    """Replace the generator's entry at (row, column) rc by change(entry)."""
+    r, c = rc
+    cols = list(rep.cols[gen])
+    assert cols[c][0] == r
+    cols[c] = (r, change(cols[c][1]))
+    rep.cols[gen] = tuple(cols)
 
 
 def test_negated_entry_fails_product_relations(example2):
@@ -103,8 +109,8 @@ def test_band_winding_gauge(example1_d4):
     band = finite_comps(example1_d4)[0]
     rep = build_module(example1_d4, band)
     for w in range(1, 4):
-        up = rep.mats["X2+"].entry(rep.weights.index(w + 1), rep.weights.index(w))
-        back = rep.mats["X1+"].entry(rep.weights.index(w), rep.weights.index(w + 1))
+        up = mat(rep, "X2+").entry(rep.weights.index(w + 1), rep.weights.index(w))
+        back = mat(rep, "X1+").entry(rep.weights.index(w), rep.weights.index(w + 1))
         assert up.xi_exp + back.xi_exp == 1
     assert verify_relations(rep).ok
 
@@ -115,7 +121,7 @@ def test_contractible_module_has_no_winding(example2, example3):
             if not comp.contractible:
                 continue
             rep = build_module(cfg, comp)
-            assert all(v.xi_exp == 0 for mat in rep.mats.values() for _, v in mat.items())
+            assert all(e[1].xi_exp == 0 for col in rep.cols.values() for e in col if e)
 
 
 def test_empty_window_module(lat52):
@@ -126,7 +132,7 @@ def test_empty_window_module(lat52):
     report = verify_relations(rep)
     assert report.ok and report.skipped  # boundary rows are skipped, not asserted
     # interior product relations reduce to the identity
-    prod = rep.mats["X1+"] @ rep.mats["X1-"]
+    prod = mat(rep, "X1+") @ mat(rep, "X1-")
     mid = rep.weights.index(0)
     assert prod.entry(mid, mid) == ONE
 
@@ -301,13 +307,44 @@ def test_relations_on_random_configs(mn, k, seed):
         assert verify_relations(build_module(cfg, comp)).ok
 
 
+@given(wide_lattices, st.integers(0, 3), st.integers(0, 10**6), st.data())
+@settings(max_examples=40, deadline=None)
+def test_module_checks_match_matrix_products(mn, k, seed, data):
+    # both face-by-face checks against their matrix-product forms, on finite
+    # and windowed modules, each with at most one corrupted column entry:
+    # negated, dropped, or moved to a row no other entry of its generator has
+    cfg = random_config(Lattice(*mn), k, seed)
+    for comp in components(cfg):
+        rep = build_module(cfg, comp, comp.window)
+        how = data.draw(st.sampled_from([None, "negate", "drop", "move"]))
+        gen = data.draw(st.sampled_from(GENERATORS))
+        cols = list(rep.cols[gen])
+        filled = [c for c, e in enumerate(cols) if e is not None]
+        free = sorted(set(range(rep.dim)) - {e[0] for e in cols if e})
+        if how and filled and (how != "move" or free):
+            c = data.draw(st.sampled_from(filled))
+            r, v = cols[c]
+            if how == "negate":
+                cols[c] = (r, times_rational(v, -1))
+            elif how == "drop":
+                cols[c] = None
+            else:
+                cols[c] = (data.draw(st.sampled_from(free)), v)
+            rep.cols[gen] = tuple(cols)
+        rel, rel_ref = verify_relations(rep), matrix_relations(rep)
+        assert (rel.failures, rel.skipped, rel.checked) == (
+            rel_ref.failures, rel_ref.skipped, rel_ref.checked)
+        inv, inv_ref = verify_invariance(rep), matrix_invariance(rep)
+        assert (inv.failures, inv.checked) == (inv_ref.failures, inv_ref.checked)
+
+
 def test_word_matrix(example2):
     d2 = components(example2)[0]
     rep = build_module(example2, d2)
     assert word_matrix(rep, []) == identity(3)
     assert word_matrix(rep, ["H"]) == MonomialMat.diagonal([Fraction(w) for w in rep.weights])
     # composition order: rightmost acts first
-    assert word_matrix(rep, ["X1+", "X1-"]) == rep.mats["X1+"] @ rep.mats["X1-"]
+    assert word_matrix(rep, ["X1+", "X1-"]) == mat(rep, "X1+") @ mat(rep, "X1-")
 
 
 def test_loop_operator_adjoint_identity(example1_d4, example2):
@@ -354,21 +391,6 @@ def test_casimir_empty_window(lat52):
         assert res.determinate  # interior faces certify the value
 
 
-def test_casimir_builds_no_matrices(example3, monkeypatch):
-    # casimir reads the generator matrices build_module stored
-    rep = build_module(example3, finite_comps(example3)[1])
-    init, calls = MonomialMat.__init__, []
-
-    def counting_init(self, *args):
-        calls.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(MonomialMat, "__init__", counting_init)
-    for word in balanced_words(5, 2):
-        casimir(rep, word)
-    assert calls == []
-
-
 def test_casimir_not_scalar_message(example3):
     # one corrupted X1+ entry: the faces whose loop crosses it disagree
     # with the others
@@ -413,7 +435,7 @@ def test_coefficients_have_power_of_two_denominators(mn, k, seed):
     words = balanced_words(*mn)
     for comp in components(cfg):
         rep = build_module(cfg, comp, comp.window)
-        values += [v for mat in rep.mats.values() for _, v in mat.items()]
+        values += [e[1] for col in rep.cols.values() for e in col if e]
         for word in words:
             scalar = casimir(rep, word).scalar
             if scalar is not None:

@@ -4,8 +4,16 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, strategies as st
 
-from reference import ONE, FracRadical, as_rational, identity, radical, sqrt_rational, value
-from vertexmod.linalg import MonomialMat
+from reference import (
+    ONE,
+    FracRadical,
+    MonomialMat,
+    as_rational,
+    identity,
+    radical,
+    sqrt_rational,
+    value,
+)
 from vertexmod.scalar import Radical, squarefree_decompose
 
 radicals = st.builds(

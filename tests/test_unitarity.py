@@ -1,14 +1,21 @@
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import staircase_band
-from reference import adjoint_matrix, check_sign_consistency, path_phase2, times_rational, value
+from reference import (
+    adjoint_matrix,
+    check_sign_consistency,
+    mat,
+    path_phase2,
+    times_rational,
+    value,
+)
 from vertexmod.configfile import parse
 from vertexmod.configuration import Configuration, VertexPath, from_paths, random_config
 from vertexmod.lattice import Lattice
-from vertexmod.linalg import MonomialMat
 from vertexmod.representation import build_module, casimir
 from vertexmod.topology import (
     ColoringConflictError,
@@ -21,7 +28,6 @@ from vertexmod.unitarity import (
     SignTable,
     dual_invariants,
     gram_diag,
-    gram_matrix,
     signature_coloring,
     signature_direct,
     signature_window,
@@ -101,9 +107,9 @@ def test_gram_and_invariance_example2(example2):
 
 def test_negated_entry_fails_invariance(example2):
     rep = build_module(example2, components(example2)[0])
-    entries = dict(rep.mats["X1+"].items())
-    entries[(1, 2)] = times_rational(entries[(1, 2)], -1)
-    rep.mats["X1+"] = MonomialMat(rep.dim, entries)
+    cols = list(rep.cols["X1+"])
+    cols[2] = (1, times_rational(cols[2][1], -1))
+    rep.cols["X1+"] = tuple(cols)
     assert verify_invariance(rep).failures == ["form invariance fails for X1+-"]
 
 
@@ -121,7 +127,7 @@ def test_invariance_empty_window(lat52):
     assert gram_diag(rep) == [1] * rep.dim
     assert verify_invariance(rep).ok
     # with the identity form, the adjoint is plain conjugate transpose
-    assert adjoint_matrix(rep, "X1+") == rep.mats["X1+"].conj_transpose()
+    assert adjoint_matrix(rep, "X1+") == mat(rep, "X1+").conj_transpose()
 
 
 def test_adjoint_swaps_raising_and_lowering(example2, example1_d4):
@@ -129,9 +135,9 @@ def test_adjoint_swaps_raising_and_lowering(example2, example1_d4):
         for comp in finite_comps(cfg):
             rep = build_module(cfg, comp)
             for i in (1, 2):
-                assert adjoint_matrix(rep, f"X{i}+") == rep.mats[f"X{i}-"]
-                assert adjoint_matrix(rep, f"X{i}-") == rep.mats[f"X{i}+"]
-            assert adjoint_matrix(rep, "H") == rep.mats["H"]
+                assert adjoint_matrix(rep, f"X{i}+") == mat(rep, f"X{i}-")
+                assert adjoint_matrix(rep, f"X{i}-") == mat(rep, f"X{i}+")
+            assert adjoint_matrix(rep, "H") == mat(rep, "H")
 
 
 def test_signatures_example2(example2):
@@ -332,10 +338,17 @@ def test_dual_invariants(example2, example1_d4):
     band = finite_comps(example1_d4)[0]
     formal = dual_invariants(band)
     assert formal.pseudo_unitarizable and formal.dual_parameter == "xi"
-    concrete = dual_invariants(band, xi=2 + 0j)
-    assert not concrete.pseudo_unitarizable
-    unit = dual_invariants(band, xi=complex(0.6, 0.8))
-    assert unit.pseudo_unitarizable
+    concrete = dual_invariants(band, xi=(Fraction(2), Fraction(0)))
+    assert not concrete.pseudo_unitarizable and concrete.dual_parameter == "1/2 0"
+    unit = dual_invariants(band, xi=(Fraction(3, 5), Fraction(4, 5)))
+    assert unit.pseudo_unitarizable and unit.dual_parameter == "3/5 4/5"
+    # unimodularity is exact: 1e-13 off the circle is off it
+    near = dual_invariants(band, xi=(Fraction(3, 5), Fraction("0.8000000000001")))
+    assert not near.pseudo_unitarizable
+    assert near.dual_parameter == ("20000000000000000000000000/33333333333338666666666667 "
+                                   "8888888888890000000000000/11111111111112888888888889")
+    zero = dual_invariants(band, xi=(Fraction(0), Fraction(0)))
+    assert not zero.pseudo_unitarizable and zero.dual_parameter == "undefined"
 
 
 def test_numeric_invariance_at_unit_xi(example1_d4):
@@ -348,8 +361,8 @@ def test_numeric_invariance_at_unit_xi(example1_d4):
     for k in (1, 2, 3):
         xi = cmath.exp(2j * cmath.pi * k / 7)
         for i in (1, 2):
-            plus = rep.mats[f"X{i}+"]
-            minus = rep.mats[f"X{i}-"]
+            plus = mat(rep, f"X{i}+")
+            minus = mat(rep, f"X{i}-")
             for (r, c), v in plus.items():
                 lhs = value(v, xi).conjugate() * G[r]
                 rhs = G[c] * value(minus.entry(c, r), xi)
