@@ -134,7 +134,11 @@ def parse(text: str) -> ConfigFile:
             if len(toks) != 3:
                 err("xi takes <re> <im>")
             for j, tok in enumerate(toks[1:], start=1):
-                if re.search(r"[eE][-+]?0*[1-9]\d{3}", tok):
+                # Fraction accepts digit-group underscores in the exponent and
+                # expands 10**exp, so the exponent's value is bounded here
+                # (by its digit count: int() refuses over 4,300 digits).
+                e = re.search(r"[eE][-+]?([\d_]+)$", tok)
+                if e and len(e[1].replace("_", "").lstrip("0")) > 3:
                     err(f"xi component exponent out of range in {tok!r}", j)
             try:
                 xi = (Fraction(toks[1]), Fraction(toks[2]))

@@ -103,8 +103,12 @@ def test_parse_xi_exactly():
         with pytest.raises(ParseError, match="col 4: xi components must be numbers"):
             parse(f"period 5 2\nxi {bad}\n")
     # an exponent is refused before it is expanded
-    with pytest.raises(ParseError, match="col 6: xi component exponent out of range"):
-        parse("period 5 2\nxi 1 1e1000\n")
+    for big in ("1e1000", "1e1_000", "1e-1_000", "1e1_000_000_000", "1E+00_1000",
+                "1e" + "9" * 5000):
+        with pytest.raises(ParseError, match="col 6: xi component exponent out of range"):
+            parse(f"period 5 2\nxi 1 {big}\n")
+    assert parse("period 5 2\nxi 1e0_999 1e-0_0_3\n").xi == (Fraction(10**999),
+                                                               Fraction(1, 1000))
     assert parse("period 5 2\nxi 1e-999 0\n").xi == (Fraction(1, 10**999), 0)
 
 
