@@ -16,7 +16,10 @@ Run from the root of a source checkout; the package is imported from
   configurations ``random_config(Lattice(*LARGE[:2]), LARGE[2], seed)``:
   ``mte_violations`` in both modes and ``components`` on each, and
   ``build_module``, ``verify_relations`` and ``verify_invariance`` on every
-  finite component;
+  finite component; a conservative configuration needs no scan in
+  ``mte_violations``, so both modes are also timed once on a
+  non-conservative one, seed 0 plus one vertical edge
+  (``mte_P_nonconservative``, ``mte_q_nonconservative``);
 * the perfbench rows are the median of PERF_RUNS runs of ``perfbench/run.py
   --seconds SECONDS --seed SEED --trace 0`` per workload, one value per
   end-to-end metric;
@@ -100,8 +103,8 @@ def large_row() -> dict:
 
     Runs in the calling process; ``large`` starts a fresh one for it.
     """
-    from vertexmod.configuration import random_config
-    from vertexmod.lattice import Lattice
+    from vertexmod.configuration import from_edges, random_config
+    from vertexmod.lattice import Edge, Lattice
     from vertexmod.representation import build_module, verify_relations
     from vertexmod.topology import components
     from vertexmod.unitarity import verify_invariance
@@ -128,6 +131,10 @@ def large_row() -> dict:
                 timed("verify_relations", verify_relations, rep)
                 timed("verify_invariance", verify_invariance, rep)
                 dims.append(rep.dim)
+    lat = Lattice(m, n)
+    cfg = from_edges(lat, [*random_config(lat, k, LARGE_SEEDS[0]).edges.items(), (Edge("V", 0, 0), 1)])
+    timed("mte_P_nonconservative", cfg.mte_violations, "P")
+    timed("mte_q_nonconservative", cfg.mte_violations, "q")
     return {"config": {"m": m, "n": n, "k": k, "seeds": list(LARGE_SEEDS)},
             "finite_modules": len(dims), "max_dim": max(dims, default=0),
             "seconds": seconds, "calls": calls}

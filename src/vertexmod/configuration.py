@@ -107,6 +107,8 @@ class Configuration:
         self._offsets: dict[tuple[int, int], list[int]] = {}
         # face signs at weights 0, d, 2d, ... for each direction d = +-1
         self._signs: dict[int, list[int]] = {1: [1], -1: [1]}
+        # check_order_product's chain states: (window, last word, states per prefix)
+        self._order_chain: tuple | None = None
 
     # -- basic queries -----------------------------------------------------
 
@@ -250,14 +252,40 @@ class Configuration:
     def mte_violations(self, mode: str = "P") -> list[Vertex]:
         """Vertices where the factorization identity fails, checked exactly.
 
-        mode "P" compares products of edge polynomial values; mode "q"
-        compares products of square-root values as radicals.  The window
-        covers the support's bounding box expanded by (m + n) cells and is
-        widened, if necessary, so the number of sample points exceeds the
-        degree of both sides (which makes the polynomial check conclusive).
+        mode "P" compares P_1(t+beta) P_2(t+alpha) with P_1(t-beta)
+        P_2(t-alpha) at vertex values t; mode "q" compares the same
+        products of square-root values.  Both hold at every vertex exactly
+        when the configuration is conservative, so a conservative one
+        returns [] after ``conservation_violations`` alone:
+
+        * Mode P.  As polynomials in t both sides have leading coefficient
+          2^-deg, so they agree iff their root multisets {r - beta} +
+          {r' - alpha} and {r + beta} + {r' + alpha} agree, over the
+          vertical roots r and horizontal roots r'.  Every root sits at a
+          vertex value, and at vertex t the multiplicities are
+          mult_1(t+beta) + mult_2(t+alpha) = up + right and
+          mult_1(t-beta) + mult_2(t-alpha) = down + left.
+        * Mode q.  With q_i = i^l_i sqrt|P_i|, the identity at t holds iff
+          |P| agrees and, where both sides are nonzero, so do the phases
+          l_1(t+beta) + l_2(t+alpha) and l_1(t-beta) + l_2(t-alpha) mod 4.
+          Let f(t) be the first phase sum minus the second.  t + beta has
+          the parity of every vertical root and t + alpha that of every
+          horizontal one, so going from t to t + 2 each count l drops by
+          the multiplicity at its new point: f(t+2) - f(t) = -(up + right
+          - down - left) at vertex t + 2.  Below the support f = 0, so
+          conservation gives f = 0 everywhere, and mode P gives |P|.
+
+        A non-conservative configuration is scanned to list its vertices.
+        The window covers the support's bounding box expanded by (m + n)
+        cells and is widened, if necessary, so the number of sample points
+        exceeds the degree of both sides (which makes the polynomial check
+        conclusive).  Mode q is scanned in the form above, with
+        ``poly_eval`` and ``count_above``, and reads no square root.
         """
         if mode not in ("P", "q"):
             raise ValueError(f"mode must be 'P' or 'q', got {mode!r}")
+        if not self.conservation_violations():
+            return []
         lat = self.lat
         a, b = lat.alpha, lat.beta
         span = self.support_mid2_range()
@@ -270,15 +298,17 @@ class Configuration:
         parity = (a + b) % 2
         if first % 2 != parity % 2:
             first += 1
+        above = self.count_above
         bad = []
         for t in range(first, hi + margin + 1, 2):
+            lhs = self.poly_eval(1, t + b) * self.poly_eval(2, t + a)
+            rhs = self.poly_eval(1, t - b) * self.poly_eval(2, t - a)
             if mode == "P":
-                lhs = self.poly_eval(1, t + b) * self.poly_eval(2, t + a)
-                rhs = self.poly_eval(1, t - b) * self.poly_eval(2, t - a)
+                fails = lhs != rhs
             else:
-                lhs = self.sqrt_value(1, t + b) * self.sqrt_value(2, t + a)
-                rhs = self.sqrt_value(1, t - b) * self.sqrt_value(2, t - a)
-            if lhs != rhs:
+                fails = abs(lhs) != abs(rhs) or (lhs != 0 and (
+                    above(1, t + b) + above(2, t + a) - above(1, t - b) - above(2, t - a)) % 4 != 0)
+            if fails:
                 bad.append(lat.vertex_of_val2(t))
         return bad
 

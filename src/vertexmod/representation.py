@@ -296,26 +296,27 @@ def check_order_product(cfg: Configuration, word: str, window: tuple[int, int]) 
     * the total crossed multiplicity along the walk equals twice the loop
       order that ``order_support`` counts without walking.
 
-    One walk per weight does both: it sums the crossed multiplicities and
-    folds the square-root values into integers ``i^phase * num/den *
+    The loops from every weight of the window are walked together, one
+    letter at a time.  Each weight's state sums the crossed multiplicities
+    and folds the square-root values into integers ``i^phase * num/den *
     sqrt(root)``, joining roots by their gcd as ``Radical`` products do, so
     the root stays squarefree.  The product is a ``Radical`` only for a
-    message.
+    message.  The configuration keeps the states after every prefix of the
+    last word walked over the window, and a call extends only the part of
+    its word past their common prefix.  So the words of ``balanced_words``,
+    which are sorted, walk their prefix trie once, as in ``casimir``.
     """
     identity_failures, sign_failures, crossing_failures = [], [], []
     support = order_support(cfg, word)
     lo, hi = window
+    chain = cfg._order_chain
+    if chain is None or chain[0] != window:
+        chain = (window, "", [[(mu, 0, 0, 1, 1, 1) for mu in range(lo, hi + 1)]])
+    _, last, levels = chain
+    _walk_trie(levels, last, word, lambda states, c: _order_step(cfg, states, c))
+    cfg._order_chain = (window, word, levels)
     checked = 0
-    for mu in range(lo, hi + 1):
-        total, phase, num, den, root = 0, 0, 1, 1, 1
-        for i, mid2, _ in cfg.lat.walk(mu, word):
-            total += cfg.mult_mid2(i, mid2)
-            if num:
-                # folded inline: a Radical product per step made this check 1.5x slower
-                q = cfg.sqrt_value(i, mid2)
-                g = gcd(root, q.root)
-                phase, root = phase + q.phase, (root // g) * (q.root // g)
-                num, den = num * q.num * g, den * q.den
+    for mu, (_, total, phase, num, den, root) in zip(range(lo, hi + 1), levels[-1]):
         op = order_product(cfg, word, mu, support)
         # num/den is unreduced; equal to op iff both vanish or it is the
         # rational |op| with the sign of op
@@ -336,6 +337,39 @@ def check_order_product(cfg: Configuration, word: str, window: tuple[int, int]) 
                               identity_failures=identity_failures,
                               sign_failures=sign_failures,
                               crossing_failures=crossing_failures, checked=checked)
+
+
+def _order_step(cfg: Configuration, states: list, letter: str) -> list:
+    """Every loop's state after one more letter.
+
+    A state is ``(weight, crossed total, phase, num, den, root)``, the
+    product unreduced; once num is 0 only the total still grows.
+    """
+    dw, i, _ = cfg.lat.steps["X1+" if letter == "1" else "X2+"]
+    mult, sqrt_value = cfg.mult_mid2, cfg.sqrt_value
+    out = []
+    for w, total, phase, num, den, root in states:
+        mid2 = 2 * w + dw
+        total += mult(i, mid2)
+        if num:
+            # folded inline: a Radical product per step made this check 1.5x slower
+            q = sqrt_value(i, mid2)
+            g = gcd(root, q.root)
+            phase, root = phase + q.phase, (root // g) * (q.root // g)
+            num, den = num * q.num * g, den * q.den
+        out.append((w + dw, total, phase, num, den, root))
+    return out
+
+
+def _walk_trie(levels: list, last: str, word: str, step) -> None:
+    """Turn ``levels``, the states after every prefix of ``last``, into
+    those of ``word``: keep the common prefix's and extend by ``step``."""
+    p = 0
+    while p < len(last) and last[p] == word[p]:
+        p += 1
+    del levels[p + 1:]
+    for c in word[p:]:
+        levels.append(step(levels[-1], c))
 
 
 # -- operator words and the Casimir --------------------------------------------
@@ -394,12 +428,7 @@ def casimir(rep: ModuleRep, word: str) -> CasimirResult:
         chain = (*plus, {"1": x1, "2": plus[1]}, "",
                  [[(j, 0, 0, 1, 1, 1) for j in range(rep.dim)]])
     x1, x2, cols, last, levels = chain
-    p = 0
-    while p < len(last) and last[p] == word[p]:
-        p += 1
-    del levels[p + 1:]
-    for c in word[p:]:
-        levels.append(_chain_step(levels[-1], cols[c]))
+    _walk_trie(levels, last, word, lambda states, c: _chain_step(states, cols[c]))
     rep._chain = (x1, x2, cols, word, levels)
     determinate, indeterminate, scalars = [], [], set()
     for j, (w, state) in enumerate(zip(rep.weights, levels[-1])):

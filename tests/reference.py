@@ -2,10 +2,11 @@
 
 Each one recomputes something the package computes a faster or more
 structured way: ``Radical`` arithmetic over a ``Fraction`` coefficient,
-loop products by walking face paths, the generators as monomial matrices
-with the loop operator and both module checks as matrix products, rational
-and numeric views of ``Radical`` values, the form adjoint, and the
-brute-force path independence of the face sign.  The few constructors and
+the factorization identity scanned vertex by vertex, loop products by
+walking face paths, the generators as monomial matrices with the loop
+operator and both module checks as matrix products, rational and numeric
+views of ``Radical`` values, the form adjoint, and the brute-force path
+independence of the face sign.  The few constructors and
 queries that only tests need live here too, so that the package holds only
 what its commands and the benchmark run.
 """
@@ -160,6 +161,31 @@ def as_rational(v: Radical) -> Fraction:
     if v.xi_exp != 0 or v.root != 1 or v.phase % 2 != 0:
         raise ValueError(f"{v} is not rational")
     return Fraction(v.num if v.phase == 0 else -v.num, v.den)
+
+
+# -- the vertex factorization identity -----------------------------------------------
+
+
+def mte_scan(cfg: Configuration, mode: str) -> list[Vertex]:
+    """``Configuration.mte_violations`` without the conservation shortcut.
+
+    Every vertex of the widened window is evaluated: mode "P" compares
+    products of edge polynomial values, mode "q" products of square-root
+    values as ``Radical`` products.
+    """
+    lat = cfg.lat
+    a, b = lat.alpha, lat.beta
+    lo, hi = cfg.support_mid2_range() or (0, 0)
+    margin = 2 * (lat.m + lat.n)
+    deg = cfg.total_multiplicity(1) + cfg.total_multiplicity(2)
+    while (hi - lo + 2 * margin) // 2 + 1 <= deg:
+        margin += 2 * (lat.m + lat.n)
+    first = lo - margin
+    if first % 2 != (a + b) % 2:
+        first += 1
+    at = cfg.poly_eval if mode == "P" else cfg.sqrt_value
+    return [lat.vertex_of_val2(t) for t in range(first, hi + margin + 1, 2)
+            if at(1, t + b) * at(2, t + a) != at(1, t - b) * at(2, t - a)]
 
 
 # -- face-path walks and the loop operator -----------------------------------------

@@ -35,9 +35,17 @@ def test_check_fail(tmp_path, capsys):
     p = tmp_path / "bad.cfg"
     p.write_text(DANGLING)
     assert main(["check", str(p), "--json"]) == 1
-    obj = json.loads(capsys.readouterr().out)
-    assert obj["conservation_violations"] == [[2, 0], [2, 1]]
-    assert not obj["pass"]
+    # the lone edge at doubled midpoint 0 breaks both factorization checks
+    # at every vertex from doubled value -13 to 13, in scan order
+    scan = [[4, 0], [1, -1], [3, 0], [0, -1], [2, 0], [4, 1], [1, 0], [3, 1], [0, 0], [2, 1],
+            [4, 2], [1, 1], [3, 2], [0, 1]]
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "check",
+        "conservation_violations": [[2, 0], [2, 1]],
+        "mte_p_violations": scan,
+        "mte_q_violations": scan,
+        "pass": False,
+    }
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

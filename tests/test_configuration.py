@@ -10,6 +10,7 @@ from reference import (
     flip_corner,
     is_empty,
     max_area_path,
+    mte_scan,
     mult,
     radical,
     sqrt_rational,
@@ -26,6 +27,9 @@ from vertexmod.lattice import Edge, Lattice, Vertex
 from vertexmod.scalar import Radical
 
 lattices = st.sampled_from([(1, 1), (2, 1), (3, 2), (5, 2)])
+wide_lattices = st.sampled_from([(1, 1), (2, 1), (3, 2), (5, 2), (5, 3), (4, 3)])
+extra_edges = st.lists(st.tuples(st.sampled_from("VH"), st.integers(0, 4), st.integers(-3, 3),
+                                 st.integers(1, 2)), min_size=1, max_size=3)
 
 
 def test_from_paths_walk(lat52):
@@ -206,13 +210,33 @@ def test_mte_example(example2):
         example2.mte_violations("x")
 
 
-@given(lattices, st.integers(0, 4), st.integers(0, 10**6))
+@given(wide_lattices, st.integers(0, 4), st.integers(0, 10**6))
 @settings(max_examples=80, deadline=None)
 def test_random_configs_conserve_and_solve_mte(mn, k, seed):
+    # conservation decides both modes: a scan of every vertex agrees with
+    # the shortcut and finds nothing
     cfg = random_config(Lattice(*mn), k, seed)
     assert cfg.conservation_violations() == []
-    assert cfg.mte_violations("P") == []
-    assert cfg.mte_violations("q") == []
+    for mode in ("P", "q"):
+        assert cfg.mte_violations(mode) == mte_scan(cfg, mode) == []
+
+
+@given(wide_lattices, st.integers(0, 2), st.integers(0, 10**6), extra_edges)
+@example((3, 2), 0, 0, [("V", 0, 0, 1)])
+@example((4, 3), 1, 5, [("H", 1, 2, 2), ("V", 3, -1, 1)])
+@settings(max_examples=60, deadline=None)
+def test_mte_on_nonconservative_input_matches_full_scan(mn, k, seed, extra):
+    # extra edges break conservation (unless they close a loop themselves):
+    # mode P scans as before, and mode q's scan of |P| and the above-count
+    # phases lists exactly the vertices the Radical products do
+    lat = Lattice(*mn)
+    base = random_config(lat, k, seed)
+    cfg = from_edges(lat, list(base.edges.items())
+                     + [(Edge(kind, x % lat.m, y), m) for kind, x, y, m in extra])
+    for mode in ("P", "q"):
+        got = cfg.mte_violations(mode)
+        assert got == mte_scan(cfg, mode)
+        assert (got == []) == (cfg.conservation_violations() == [])
 
 
 def test_mte_conclusive_at_high_multiplicity():

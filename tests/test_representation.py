@@ -274,6 +274,28 @@ def test_check_order_product_matches_reference(mn, k, seed, extra, word_index):
             report.checked) == expected
 
 
+@given(wide_lattices, st.integers(1, 2), st.integers(0, 10**6), st.randoms(use_true_random=False))
+@settings(max_examples=15, deadline=None)
+def test_order_product_chain_memo_in_any_call_order(mn, k, seed, rng):
+    # the configuration keeps one window's chain states per prefix of the
+    # last word: unsorted words, a repeated word and two interleaved windows
+    # each reuse or rebuild them, and every report stays the reference one
+    lat = Lattice(*mn)
+    cfg = random_config(lat, k, seed)
+    words = rng.sample(balanced_words(*mn), 8)
+    calls = [(word, (-12, 12)) for word in words]
+    calls += [(word, window) for word in words for window in ((-12, 12), (-3, 20))]
+    calls.insert(3, calls[2])
+    for word, window in calls:
+        report = check_order_product(cfg, word, window)
+        assert (report.identity_failures, report.sign_failures, report.crossing_failures,
+                report.checked) == _reference_order_report(cfg, word, window)
+        assert cfg._order_chain[:2] == (window, word)
+    # a fresh configuration agrees with the one that walked all of the above
+    again = random_config(lat, k, seed)
+    assert check_order_product(again, words[-1], (-3, 20)) == report
+
+
 def test_order_product_builds_radicals_only_for_messages(example1_d4, monkeypatch):
     # the loop product is folded in integers: no Radical product is formed,
     # not even for a message, and the messages match the Radical-product
