@@ -20,6 +20,11 @@ Run from the root of a source checkout; the package is imported from
   ``mte_violations``, so both modes are also timed once on a
   non-conservative one, seed 0 plus one vertical edge
   (``mte_P_nonconservative``, ``mte_q_nonconservative``);
+* the casimir row times, in one process, ``casimir`` over every balanced
+  word of every finite module of the CASIMIR_SEEDS configurations
+  ``random_config(Lattice(*CASIMIR[:2]), CASIMIR[2], seed)``, with its call
+  count and its face passes (each ``_chain_step`` call and each call's
+  result pass walks a module's faces once);
 * the perfbench rows are the median of PERF_RUNS runs of ``perfbench/run.py
   --seconds SECONDS --seed SEED --trace 0`` per workload, one value per
   end-to-end metric;
@@ -51,6 +56,8 @@ WORKLOADS = ("catalog", "identities", "analyze")
 RUNS, PERF_RUNS, SECONDS, SEED = 5, 3, 20, 0
 # (m, n, k) of the large row, and its seeds
 LARGE, LARGE_SEEDS = (34, 21, 8), range(5)
+# (m, n, k) of the casimir row, and its seeds
+CASIMIR, CASIMIR_SEEDS = (7, 4, 2), range(5)
 
 
 def _env() -> dict:
@@ -101,7 +108,7 @@ def tier1() -> dict:
 def large_row() -> dict:
     """Per-layer seconds and call counts over the large configurations.
 
-    Runs in the calling process; ``large`` starts a fresh one for it.
+    Runs in the calling process; ``fresh`` starts a new one for it.
     """
     from vertexmod.configuration import from_edges, random_config
     from vertexmod.lattice import Edge, Lattice
@@ -140,9 +147,44 @@ def large_row() -> dict:
             "seconds": seconds, "calls": calls}
 
 
-def large() -> dict:
-    """``large_row`` in a fresh interpreter."""
-    code = "import json, bench; print(json.dumps(bench.large_row()))"
+def casimir_row() -> dict:
+    """Seconds, calls and face passes of ``casimir`` over every balanced word
+    of every finite module of the casimir configurations.
+
+    Modules are built before the clock starts.  The passes are counted by
+    wrapping ``representation._chain_step``, which costs one call per pass.
+    Runs in the calling process; ``fresh`` starts a new one for it.
+    """
+    from vertexmod import representation
+    from vertexmod.configuration import random_config
+    from vertexmod.lattice import Lattice
+    from vertexmod.representation import balanced_words, build_module, casimir
+    from vertexmod.topology import components
+
+    m, n, k = CASIMIR
+    words = balanced_words(m, n)
+    reps = [build_module(cfg, comp)
+            for cfg in (random_config(Lattice(m, n), k, seed) for seed in CASIMIR_SEEDS)
+            for comp in components(cfg) if comp.finite]
+    step, steps = representation._chain_step, []
+    representation._chain_step = lambda states, col: steps.append(1) or step(states, col)
+    try:
+        start = time.perf_counter()
+        for rep in reps:
+            for word in words:
+                casimir(rep, word)
+        seconds = time.perf_counter() - start
+    finally:
+        representation._chain_step = step
+    calls = len(reps) * len(words)
+    return {"config": {"m": m, "n": n, "k": k, "seeds": list(CASIMIR_SEEDS)},
+            "finite_modules": len(reps), "dim_sum": sum(rep.dim for rep in reps),
+            "seconds": seconds, "calls": calls, "face_passes": len(steps) + calls}
+
+
+def fresh(row: str) -> dict:
+    """The named row function of this script, run in a fresh interpreter."""
+    code = f"import json, bench; print(json.dumps(bench.{row}()))"
     env = _env()
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "scripts"), env["PYTHONPATH"]])
     out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, check=True,
@@ -213,9 +255,12 @@ def main(argv=None) -> int:
             print(f"{name}: median {row['median_s']:.3f} s over {RUNS} runs", flush=True)
     record["tier1"] = row = tier1()
     print(f"tier1: {row['wall_s']:.3f} s", flush=True)
-    record["large"] = row = large()
+    record["large"] = row = fresh("large_row")
     shown = ", ".join(f"{k} {v:.3f} s" for k, v in row["seconds"].items())
     print(f"large {LARGE}: {shown}", flush=True)
+    record["casimir"] = row = fresh("casimir_row")
+    print(f"casimir {CASIMIR}: {row['seconds']:.3f} s, {row['calls']} calls, "
+          f"{row['face_passes']} face passes", flush=True)
     for w in WORKLOADS:
         record["perfbench"][w] = row = perfbench(w)
         shown = ", ".join(f"{k} {m['median']:.4g} {m['unit']}" for k, m in row["metrics"].items())

@@ -273,7 +273,14 @@ def cmd_render(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    lat = Lattice(args.m, args.n)
+    try:
+        lat = Lattice(args.m, args.n)
+    except ValueError as exc:
+        raise CliError(f"m n: {exc}") from exc
+    if args.k < 0:
+        raise CliError(f"k must not be negative, got {args.k}")
+    if args.samples < 0:
+        raise CliError(f"--samples must not be negative, got {args.samples}")
     rng = random.Random(args.seed)
     written = 0
     with open(args.out, "w", encoding="utf-8") as fh:

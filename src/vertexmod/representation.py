@@ -61,7 +61,7 @@ class ModuleRep:
     cols: dict[str, tuple]
     window: tuple[int, int] | None = None
     _index: dict[int, int] = field(default_factory=dict, repr=False)
-    # casimir's chain states, built on its first call
+    # casimir's first-half states and composed second halves, built on its first call
     _chain: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -411,12 +411,22 @@ def casimir(rep: ModuleRep, word: str) -> CasimirResult:
     by step as P_1(2mu + off_t).  Every such factor is an integer, because
     every orientation-1 root has the parity of every orientation-1 crossing.
 
-    The chain is walked one letter at a time over the list of all faces'
-    states.  The module keeps the states after every prefix of the last
-    word it evaluated, keyed on the X1+ and X2+ columns they were read
-    from, and a call extends only the part of its word past their common
-    prefix.  So the words of ``balanced_words``, which are sorted, walk
-    their prefix trie once.
+    The word meets in the middle.  Its first half, ``word[:len(word)//2]``,
+    is walked one letter at a time over the list of all faces' states; the
+    module keeps the states after every prefix of the last first half, so
+    a call extends only the part past their common prefix, and the sorted
+    words of ``balanced_words`` walk their first halves' prefix trie once.
+    Its second half is one composed column, the chain through those letters
+    from every face, built right to left (``_composed``) and kept per
+    distinct string, as is every suffix it was built from.  So the module
+    holds at most half + 1 state lists and one column per distinct suffix
+    of a second half (on (5,3): 5 state lists and 29 columns, each of dim
+    entries), all keyed on the X1+ and X2+ columns they were read from.
+    One fused pass per word then joins each face's first-half state with
+    the composed entry at its row, checks that the loop is diagonal and
+    compares each determinate value with the first by cross-multiplying; a
+    ``Radical`` is built only for the result, or for every distinct ratio
+    in the message when they disagree.
     """
     cfg = rep.cfg
     _loop_orders(cfg, word)  # the word is balanced and its crossings agree
@@ -424,30 +434,68 @@ def casimir(rep: ModuleRep, word: str) -> CasimirResult:
     chain = rep._chain
     if chain is None or chain[0] is not plus[0] or chain[1] is not plus[1]:
         # a contractible module's scalar is 0 whatever the chain values
-        x1 = plus[0] if rep.comp.contractible else _divided_by_p1(rep, plus[0])
-        chain = (*plus, {"1": x1, "2": plus[1]}, "",
+        x1 = _flat(plus[0]) if rep.comp.contractible else _divided_by_p1(rep, plus[0])
+        chain = (*plus, {"1": x1, "2": _flat(plus[1])}, "",
                  [[(j, 0, 0, 1, 1, 1) for j in range(rep.dim)]])
-    x1, x2, cols, last, levels = chain
-    _walk_trie(levels, last, word, lambda states, c: _chain_step(states, cols[c]))
-    rep._chain = (x1, x2, cols, word, levels)
-    determinate, indeterminate, scalars = [], [], set()
+    _, _, cols, last, levels = chain
+    half = len(word) // 2
+    _walk_trie(levels, last, word[:half], lambda states, c: _chain_step(states, cols[c]))
+    rep._chain = (*plus, cols, word[:half], levels)
+    tail = _composed(cols, word[half:])
+    determinate, indeterminate, values = [], [], []
+    first, agree = None, True
     for j, (w, state) in enumerate(zip(rep.weights, levels[-1])):
-        if state is None:
+        e = state and tail[state[0]]
+        if e is None:
             indeterminate.append(w)
             continue
-        r, k, phase, num, den, root = state
+        r, dk, dphase, dnum, dden, droot = e
         if r != j:
             raise AssertionError("balanced loop operator is not diagonal")
         determinate.append(w)
-        g = gcd(num, den)
-        scalars.add(Radical(k, phase % 4, num // g, den // g, root))
+        _, k, phase, num, den, root = state
+        g = gcd(root, droot)
+        key = (k + dk, (phase + dphase) % 4, (root // g) * (droot // g))
+        num, den = num * dnum * g, den * dden
+        if first is None:
+            first = key, num, den
+        elif key != first[0] or num * first[2] != first[1] * den:
+            agree = False
+        values.append((key, num, den))
     if rep.comp.contractible and determinate:
         raise AssertionError("loop operator does not vanish on a contractible component")
-    if len(scalars) > 1:
+    if not agree:
+        scalars = {_radical(*v) for v in values}
         raise AssertionError(f"casimir ratio is not scalar: {sorted(str(v) for v in scalars)}")
-    scalar = Radical.zero() if rep.comp.contractible else next(iter(scalars), None)
+    if rep.comp.contractible:
+        scalar = Radical.zero()
+    else:
+        scalar = first and _radical(*first)
     return CasimirResult(word=word, scalar=scalar, determinate=determinate,
                          indeterminate=indeterminate)
+
+
+def _radical(key: tuple, num: int, den: int) -> Radical:
+    """The ``Radical`` of a chain value ``((xi_exp, phase, root), num, den)``
+    with num/den unreduced."""
+    g = gcd(num, den)
+    return Radical(key[0], key[1], num // g, den // g, key[2])
+
+
+def _flat(col: tuple) -> list:
+    """A column with each entry as one state tuple ``(row, xi_exp, phase,
+    num, den, root)``, the form ``_chain_step`` reads."""
+    return [e and (e[0], *e[1]) for e in col]
+
+
+def _composed(cols: dict, letters: str) -> list:
+    """The column of the chain through ``letters`` from every face, memoized
+    in ``cols`` by its string: the first letter's column, read as a state
+    list, stepped by the composed column of the rest."""
+    col = cols.get(letters)
+    if col is None:
+        col = cols[letters] = _chain_step(cols[letters[0]], _composed(cols, letters[1:]))
+    return col
 
 
 def _divided_by_p1(rep: ModuleRep, col1: tuple) -> list:
@@ -456,7 +504,8 @@ def _divided_by_p1(rep: ModuleRep, col1: tuple) -> list:
     From weight w that edge is at 2w + alpha, and P_1 there is the product
     of (2w + alpha - e2)/2 = w - lam over the orientation-1 roots e2, with
     lam = (e2 - alpha)/2 as ``Configuration.root_offsets(1, alpha)`` lists
-    them: a nonzero integer, since the edge is unsupported.
+    them: a nonzero integer, since the edge is unsupported.  The entries
+    are flat, as ``_flat`` makes them.
     """
     cfg = rep.cfg
     lams = cfg.root_offsets(1, cfg.lat.alpha)
@@ -467,15 +516,16 @@ def _divided_by_p1(rep: ModuleRep, col1: tuple) -> list:
             for lam in lams:
                 p *= w - lam
             r, (k, phase, num, den, root) = e
-            e = (r, (k, phase + 2 if p < 0 else phase, num, den * abs(p), root))
+            e = (r, k, phase + 2 if p < 0 else phase, num, den * abs(p), root)
         out.append(e)
     return out
 
 
-def _chain_step(states: list, col) -> list:
+def _chain_step(states: list, col: list) -> list:
     """Every face's state after one more letter; None once its chain is zero.
 
-    A state is ``(row, xi_exp, phase, num, den, root)``, unreduced.
+    A state, and an entry of the flat column ``col``, is ``(row, xi_exp,
+    phase, num, den, root)``, unreduced.
     """
     out = []
     for state in states:
@@ -485,7 +535,7 @@ def _chain_step(states: list, col) -> list:
             continue
         # folded inline: a Radical product per step made casimir 1.5x slower
         _, k, phase, num, den, root = state
-        r, (dk, dphase, dnum, dden, droot) = e
+        r, dk, dphase, dnum, dden, droot = e
         g = gcd(root, droot)
         out.append((r, k + dk, phase + dphase, num * dnum * g, den * dden,
                     (root // g) * (droot // g)))

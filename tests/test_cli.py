@@ -197,6 +197,21 @@ def test_catalog_command(tmp_path, capsys):
         assert isinstance(rec["unitarizable"], bool)
 
 
+@pytest.mark.parametrize("args, message", [
+    (["5", "2", "2", "--samples", "-3"], "error: --samples must not be negative, got -3"),
+    (["5", "2", "-1"], "error: k must not be negative, got -1"),
+    (["0", "2", "1"], "error: m n: period (0, 2) must be positive in both entries"),
+    (["4", "2", "1"], "error: m n: period (4, 2) is not coprime"),
+])
+def test_catalog_usage_errors(args, message, tmp_path, capsys):
+    # exit 2 with a message naming the argument, before the file is opened
+    out = tmp_path / "never.ndjson"
+    assert main(["catalog", *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == message
+    assert not out.exists()
+    assert main(["catalog", "5", "2", "0", "--samples", "2", "--out", str(out)]) == 0  # k = 0 is valid
+
+
 def test_signature_dagger_and_duplicate_display(band_file, tmp_path, capsys):
     assert main(["signature", band_file, "--component", "0"]) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,5 @@
+import os
+import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -565,20 +567,59 @@ def test_order_product_is_p1_over_vertical_crossings(mn, k, seed):
             assert order_product(cfg, word, mu, support) == product
 
 
-@pytest.mark.parametrize("mn, edges", [((5, 2), 82), ((5, 3), 208)])
-def test_casimir_walks_the_word_trie_once(mn, edges, monkeypatch):
-    # casimir never calls order_product; a lone call walks its whole word,
-    # and the sorted balanced words build one state per face and trie edge
+@pytest.mark.parametrize("mn, heads, tails", [((5, 2), 13, 22), ((5, 3), 29, 27)])
+def test_casimir_walks_the_word_trie_once(mn, heads, tails, monkeypatch):
+    # casimir never calls order_product.  A word's first half walks on from
+    # the last first half, and its second half is composed right to left
+    # once per distinct suffix (a one-letter suffix is a stored column):
+    # each step builds one state per face
     cfg = Configuration(Lattice(*mn), {})
-    rep = build_module(cfg, components(cfg)[0], window=(-9, 9))
     step, built, products = representation._chain_step, [], []
     monkeypatch.setattr(representation, "order_product", lambda *a: products.append(a))
     monkeypatch.setattr(representation, "_chain_step",
                         lambda states, col: built.append(len(states)) or step(states, col))
-    words = balanced_words(*mn)
-    casimir(rep, words[0])
-    assert sum(built) == sum(mn) * rep.dim
-    for word in [*words[1:], words[-1]]:  # a repeated word builds nothing
-        casimir(rep, word)
-    assert len({w[:i] for w in words for i in range(1, sum(mn) + 1)}) == edges
-    assert sum(built) == edges * rep.dim and products == []
+    words, half = balanced_words(*mn), sum(mn) // 2
+
+    def built_by(calls):
+        rep = build_module(cfg, components(cfg)[0], window=(-9, 9))
+        built.clear()
+        for word in calls:
+            casimir(rep, word)
+        assert sum(built) % rep.dim == 0
+        return sum(built) // rep.dim
+
+    # a lone word: its first half, and every suffix of its second half
+    assert built_by(words[:1]) == half + (sum(mn) - half - 1)
+    # sorted words: the first halves' prefix trie and the distinct suffixes
+    # of the second halves; a repeated word builds nothing
+    assert len({w[:i] for w in words for i in range(1, half + 1)}) == heads
+    assert len({w[i:] for w in words for i in range(half, sum(mn) - 1)}) == tails
+    assert built_by(words) == built_by([*words, words[-1]]) == heads + tails
+    # shuffled, each word twice: the first halves walk on from their
+    # predecessors, and no second half is composed twice
+    shuffled = random.Random(0).sample(words * 2, 2 * len(words))
+    walked = sum(half - len(os.path.commonprefix([a[:half], b[:half]]))
+                 for a, b in zip(["", *shuffled], shuffled))
+    assert built_by(shuffled) == walked + tails
+    assert products == []
+
+
+@pytest.mark.parametrize("change, ratio", [
+    (lambda v: times_rational(v, -1), "xi^1 * i^2 * 1"),
+    (lambda v: times_rational(v, Fraction(2, 3)), "xi^1 * 2/3"),
+    (lambda v: v._replace(xi_exp=v.xi_exp + 1), "xi^2 * 1"),
+    (lambda v: v._replace(root=3 * v.root), "xi^1 * sqrt(3)"),
+], ids=["phase", "magnitude", "xi", "root"])
+def test_casimir_not_scalar_in_the_second_half(example3, change, ratio):
+    # "1111122" reads X2+ only in its second half, through a composed
+    # column.  An X2+ entry changed in one part of its value gives the
+    # message whether the change is in place before the first call or
+    # replaces the column after that call kept it
+    comp = [c for c in finite_comps(example3) if not c.contractible][0]
+    fresh, kept = build_module(example3, comp), build_module(example3, comp)
+    assert casimir(kept, "1111122").scalar == Radical.xi_power(1)
+    for rep in (fresh, kept):
+        corrupt(rep, "X2+", (9, 4), change)
+        with pytest.raises(AssertionError) as exc:
+            casimir(rep, "1111122")
+        assert str(exc.value) == f"casimir ratio is not scalar: ['xi^1 * 1', '{ratio}']"
