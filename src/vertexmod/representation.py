@@ -304,7 +304,8 @@ def check_order_product(cfg: Configuration, word: str, window: tuple[int, int]) 
     message.  The configuration keeps the states after every prefix of the
     last word walked over the window, and a call extends only the part of
     its word past their common prefix.  So the words of ``balanced_words``,
-    which are sorted, walk their prefix trie once, as in ``casimir``.
+    which are sorted, walk their prefix trie once; ``casimir`` walks so
+    only its words' first halves.
     """
     identity_failures, sign_failures, crossing_failures = [], [], []
     support = order_support(cfg, word)

@@ -202,7 +202,7 @@ def test_catalog_command(tmp_path, capsys):
     (["5", "2", "-1"], "error: k must not be negative, got -1"),
     (["0", "2", "1"], "error: m n: period (0, 2) must be positive in both entries"),
     (["4", "2", "1"], "error: m n: period (4, 2) is not coprime"),
-])
+], ids=["negative-samples", "negative-k", "zero-period", "non-coprime-period"])
 def test_catalog_usage_errors(args, message, tmp_path, capsys):
     # exit 2 with a message naming the argument, before the file is opened
     out = tmp_path / "never.ndjson"
