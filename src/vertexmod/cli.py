@@ -40,8 +40,18 @@ def _load(path: str) -> ConfigFile:
             return parse(fh.read())
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {path}: not UTF-8 at byte {exc.start}") from exc
     except ParseError as exc:
         raise CliError(f"{path}: {exc}") from exc
+
+
+def _open_out(path: str):
+    """``path`` opened for writing text; failing to is a usage error."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _component(cf: ConfigFile, comp_id: int):
@@ -266,7 +276,7 @@ def cmd_render(args) -> int:
         _, _, comp = _component(cf, args.component)
     print(render_ascii(cfg, comp, cf.involution))
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
+        with _open_out(args.svg) as fh:
             fh.write(render_svg(cfg, comp, cf.involution))
         print(f"wrote {args.svg}")
     return PASS
@@ -283,7 +293,7 @@ def cmd_catalog(args) -> int:
         raise CliError(f"--samples must not be negative, got {args.samples}")
     rng = random.Random(args.seed)
     written = 0
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _open_out(args.out) as fh:
         for sample in range(args.samples):
             cfg = random_config(lat, args.k, rng)
             comps = components(cfg)

@@ -26,6 +26,7 @@ operator divided by its order polynomial.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -61,7 +62,7 @@ class ModuleRep:
     cols: dict[str, tuple]
     window: tuple[int, int] | None = None
     _index: dict[int, int] = field(default_factory=dict, repr=False)
-    # casimir's first-half states and composed second halves, built on its first call
+    # casimir's composed columns per string, keyed on X1+ and X2+; built on its first call
     _chain: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -237,23 +238,36 @@ def order_support(cfg: Configuration, word: str) -> dict[int, int]:
     crosses.  So each supported edge at e2 adds one crossing per unit of
     multiplicity at lam = (e2 - off)/2.  Vertical and horizontal crossings
     are counted apart, and their agreement is asserted.
+
+    The agreement is a theorem exactly on conservative configurations.  Let
+    a(mu), b(mu) be the multiplicities that X1+ and X2+ cross from face mu,
+    and Div(mu) = a(mu+beta) + b(mu+alpha) - a(mu) - b(mu) the defect at
+    vertex 2mu+alpha+beta, zero everywhere iff the configuration is
+    conservative.  A closed loop telescopes: P_1(x)(x^alpha - 1) +
+    P_2(x)(x^beta - 1) = 0, where P_i sums x^p over the prefix weights p
+    of the i-steps.  So the crossing difference D(lam) = V(lam) - H(lam)
+    satisfies D(z)(z^-beta - 1) = P_1(1/z) Div(z), where D(z) and Div(z)
+    are the Laurent polynomials sum D(lam) z^lam and sum Div(mu) z^mu.
+    Since P_1 != 0, the loops of one word cross alike at every lam iff the
+    configuration is conservative.  ``casimir`` reads a module,
+    whose configuration passed ``components()``, so it skips this check;
+    here it stays, for arbitrary input.
     """
-    return dict(Counter(_loop_orders(cfg, word)))
-
-
-def _loop_orders(cfg: Configuration, word: str) -> list[int]:
-    """order_support as a sorted list, each weight repeated by its order."""
-    if word.count("1") != cfg.lat.m or word.count("2") != cfg.lat.n:
-        raise ValueError(f"word {word!r} is not balanced for {(cfg.lat.m, cfg.lat.n)}")
+    _check_balanced(cfg, word)
     crossed: dict[int, list[int]] = {1: [], 2: []}
     for i, off, _ in cfg.lat.walk(0, word):
         crossed[i] += cfg.root_offsets(i, off)
-    vert, horiz = sorted(crossed[1]), sorted(crossed[2])
+    vert, horiz = Counter(crossed[1]), Counter(crossed[2])
     if vert != horiz:
-        v, h = Counter(vert), Counter(horiz)
-        lam = min(lam for lam in v.keys() | h.keys() if v[lam] != h[lam])
+        lam = min(lam for lam in vert.keys() | horiz.keys() if vert[lam] != horiz[lam])
         raise AssertionError(f"vertical/horizontal crossing counts differ at {lam}")
-    return vert
+    return dict(sorted(vert.items()))
+
+
+def _check_balanced(cfg: Configuration, word: str) -> None:
+    m, n = cfg.lat.m, cfg.lat.n
+    if len(word) != m + n or word.count("1") != m or word.count("2") != n:
+        raise ValueError(f"word {word!r} is not balanced for {(m, n)}")
 
 
 def order_product(cfg: Configuration, word: str, mu: int,
@@ -269,8 +283,6 @@ def order_product(cfg: Configuration, word: str, mu: int,
 
 @dataclass
 class OrderProductReport:
-    word: str
-    window: tuple[int, int]
     identity_failures: list[str]
     sign_failures: list[str]
     crossing_failures: list[str]
@@ -304,8 +316,7 @@ def check_order_product(cfg: Configuration, word: str, window: tuple[int, int]) 
     message.  The configuration keeps the states after every prefix of the
     last word walked over the window, and a call extends only the part of
     its word past their common prefix.  So the words of ``balanced_words``,
-    which are sorted, walk their prefix trie once; ``casimir`` walks so
-    only its words' first halves.
+    which are sorted, walk their prefix trie once.
     """
     identity_failures, sign_failures, crossing_failures = [], [], []
     support = order_support(cfg, word)
@@ -314,7 +325,10 @@ def check_order_product(cfg: Configuration, word: str, window: tuple[int, int]) 
     if chain is None or chain[0] != window:
         chain = (window, "", [[(mu, 0, 0, 1, 1, 1) for mu in range(lo, hi + 1)]])
     _, last, levels = chain
-    _walk_trie(levels, last, word, lambda states, c: _order_step(cfg, states, c))
+    p = len(os.path.commonprefix([last, word]))
+    del levels[p + 1:]
+    for c in word[p:]:
+        levels.append(_order_step(cfg, levels[-1], c))
     cfg._order_chain = (window, word, levels)
     checked = 0
     for mu, (_, total, phase, num, den, root) in zip(range(lo, hi + 1), levels[-1]):
@@ -334,8 +348,7 @@ def check_order_product(cfg: Configuration, word: str, window: tuple[int, int]) 
         if total != 2 * support.get(mu, 0):
             crossing_failures.append(f"total crossings != 2 * order at {mu}")
         checked += 1
-    return OrderProductReport(word=word, window=window,
-                              identity_failures=identity_failures,
+    return OrderProductReport(identity_failures=identity_failures,
                               sign_failures=sign_failures,
                               crossing_failures=crossing_failures, checked=checked)
 
@@ -362,17 +375,6 @@ def _order_step(cfg: Configuration, states: list, letter: str) -> list:
     return out
 
 
-def _walk_trie(levels: list, last: str, word: str, step) -> None:
-    """Turn ``levels``, the states after every prefix of ``last``, into
-    those of ``word``: keep the common prefix's and extend by ``step``."""
-    p = 0
-    while p < len(last) and last[p] == word[p]:
-        p += 1
-    del levels[p + 1:]
-    for c in word[p:]:
-        levels.append(step(levels[-1], c))
-
-
 # -- operator words and the Casimir --------------------------------------------
 
 
@@ -382,10 +384,6 @@ class CasimirResult:
     scalar: Radical | None
     determinate: list[int]
     indeterminate: list[int]
-
-    @property
-    def ok(self) -> bool:
-        return self.scalar is not None
 
 
 def casimir(rep: ModuleRep, word: str) -> CasimirResult:
@@ -412,40 +410,36 @@ def casimir(rep: ModuleRep, word: str) -> CasimirResult:
     by step as P_1(2mu + off_t).  Every such factor is an integer, because
     every orientation-1 root has the parity of every orientation-1 crossing.
 
-    The word meets in the middle.  Its first half, ``word[:len(word)//2]``,
-    is walked one letter at a time over the list of all faces' states; the
-    module keeps the states after every prefix of the last first half, so
-    a call extends only the part past their common prefix, and the sorted
-    words of ``balanced_words`` walk their first halves' prefix trie once.
-    Its second half is one composed column, the chain through those letters
-    from every face, built right to left (``_composed``) and kept per
-    distinct string, as is every suffix it was built from.  So the module
-    holds at most half + 1 state lists and one column per distinct suffix
-    of a second half (on (5,3): 5 state lists and 29 columns, each of dim
-    entries), all keyed on the X1+ and X2+ columns they were read from.
-    One fused pass per word then joins each face's first-half state with
-    the composed entry at its row, checks that the loop is diagonal and
-    compares each determinate value with the first by cross-multiplying; a
-    ``Radical`` is built only for the result, or for every distinct ratio
-    in the message when they disagree.
+    The word is split in the middle, and each half is one composed column:
+    the chain through its letters from every face, built right to left
+    (``_composed``).  The module keeps one column per distinct string, as
+    is every suffix it was built from, keyed on the X1+ and X2+ columns
+    they were read from.  So a lone word costs len(word) - 2 compositions
+    at most, and the words of ``balanced_words`` compose each distinct
+    string once (on (5,3): 27 columns of dim entries for the 56 words).  One fused pass per word then joins each face's first-half
+    entry with the second-half entry at its row, checks that the loop is
+    diagonal and compares each determinate value with the first by
+    cross-multiplying; a ``Radical`` is built only for the result, or for
+    every distinct ratio in the message when they disagree.
+
+    The word must be balanced.  Its vertical and horizontal crossings are
+    not compared, as ``order_support`` compares them: the module's
+    configuration is conservative, and there they agree (the proof is in
+    ``order_support``).
     """
-    cfg = rep.cfg
-    _loop_orders(cfg, word)  # the word is balanced and its crossings agree
+    _check_balanced(rep.cfg, word)
     plus = (rep.cols["X1+"], rep.cols["X2+"])
     chain = rep._chain
     if chain is None or chain[0] is not plus[0] or chain[1] is not plus[1]:
         # a contractible module's scalar is 0 whatever the chain values
         x1 = _flat(plus[0]) if rep.comp.contractible else _divided_by_p1(rep, plus[0])
-        chain = (*plus, {"1": x1, "2": _flat(plus[1])}, "",
-                 [[(j, 0, 0, 1, 1, 1) for j in range(rep.dim)]])
-    _, _, cols, last, levels = chain
+        chain = rep._chain = (*plus, {"1": x1, "2": _flat(plus[1])})
+    cols = chain[2]
     half = len(word) // 2
-    _walk_trie(levels, last, word[:half], lambda states, c: _chain_step(states, cols[c]))
-    rep._chain = (*plus, cols, word[:half], levels)
-    tail = _composed(cols, word[half:])
+    head, tail = _composed(cols, word[:half]), _composed(cols, word[half:])
     determinate, indeterminate, values = [], [], []
     first, agree = None, True
-    for j, (w, state) in enumerate(zip(rep.weights, levels[-1])):
+    for j, (w, state) in enumerate(zip(rep.weights, head)):
         e = state and tail[state[0]]
         if e is None:
             indeterminate.append(w)
@@ -503,19 +497,15 @@ def _divided_by_p1(rep: ModuleRep, col1: tuple) -> list:
     """The X1+ columns, each entry divided by P_1 at the edge it crosses.
 
     From weight w that edge is at 2w + alpha, and P_1 there is the product
-    of (2w + alpha - e2)/2 = w - lam over the orientation-1 roots e2, with
-    lam = (e2 - alpha)/2 as ``Configuration.root_offsets(1, alpha)`` lists
-    them: a nonzero integer, since the edge is unsupported.  The entries
-    are flat, as ``_flat`` makes them.
+    of (2w + alpha - e2)/2 over the orientation-1 roots e2: a nonzero
+    integer, since the edge is unsupported and every root has its parity.
+    The entries are flat, as ``_flat`` makes them.
     """
-    cfg = rep.cfg
-    lams = cfg.root_offsets(1, cfg.lat.alpha)
+    cfg, alpha = rep.cfg, rep.cfg.lat.alpha
     out = []
     for e, w in zip(col1, rep.weights):
         if e is not None:
-            p = 1
-            for lam in lams:
-                p *= w - lam
+            p = cfg.poly_eval(1, 2 * w + alpha).numerator
             r, (k, phase, num, den, root) = e
             e = (r, k, phase + 2 if p < 0 else phase, num, den * abs(p), root)
         out.append(e)

@@ -81,8 +81,6 @@ class Overlay:
     vertices (all four faces around them in the component), ascending.
     """
 
-    component_id: int
-    involution: str
     signs: dict[tuple[int, int], int]
     vertices: list[int]
 
@@ -257,8 +255,7 @@ def overlay(cfg: Configuration, comp: Component, involution: str = "star") -> Ov
         if s != (-1 if cfg.count_above(i, mid2) % 2 else 1):
             raise AssertionError(f"sign law fails at edge {(i, mid2)}")
         signs[i, mid2] = -s if involution == "dagger" else s
-    return Overlay(component_id=comp.id, involution=involution, signs=signs,
-                   vertices=sorted(vertices))
+    return Overlay(signs=signs, vertices=sorted(vertices))
 
 
 def eight_vertex_violations(cfg: Configuration, comp: Component, ov: Overlay) -> list[Vertex]:

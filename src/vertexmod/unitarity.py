@@ -163,8 +163,6 @@ def _coloring_counts(pieces) -> Signature:
 
 @dataclass
 class UnitarizabilityReport:
-    component_id: int
-    involution: str
     conditions: dict[str, bool]
     verdict: bool
     coloring: Signature
@@ -209,8 +207,7 @@ def unitarizability_report(cfg: Configuration, comp: Component,
     conditions = {"i": cond_i, "ii": cond_ii, "iii": cond_iii, "iv": cond_iv, "v": cond_v}
     if len(set(conditions.values())) != 1:
         raise AssertionError(f"unitarizability criteria disagree: {conditions}")
-    return UnitarizabilityReport(component_id=comp.id, involution=involution,
-                                 conditions=conditions, verdict=cond_i, coloring=sig)
+    return UnitarizabilityReport(conditions=conditions, verdict=cond_i, coloring=sig)
 
 
 def _geometric_count_above(cfg: Configuration, i: int, e: Edge) -> int:
@@ -243,29 +240,26 @@ def _geometric_count_above(cfg: Configuration, i: int, e: Edge) -> int:
 
 @dataclass
 class DualReport:
-    support: list[int]
     dual_parameter: str
     pseudo_unitarizable: bool
 
 
 def dual_invariants(comp: Component, xi: tuple[Fraction, Fraction] | None = None) -> DualReport:
-    """Support and Casimir parameter of the finitistic dual, plus the verdict.
+    """Casimir parameter of the finitistic dual, plus the verdict.
 
-    The dual has the same support; its parameter is the conjugate inverse
-    xi/|xi|^2, printed exactly as its real and imaginary parts.  Contractible
-    components are always pseudo-unitarizable; incontractible ones exactly
-    when the parameter xi = (re, im) is unimodular, re^2 + im^2 = 1 (the
-    formal parameter is treated as unimodular).
+    The dual's parameter is the conjugate inverse xi/|xi|^2, printed
+    exactly as its real and imaginary parts.  Contractible components are
+    always pseudo-unitarizable; incontractible ones exactly when the
+    parameter xi = (re, im) is unimodular, re^2 + im^2 = 1 (the formal
+    parameter is treated as unimodular).
     """
-    support = comp.sorted_weights()
     if comp.contractible:
-        return DualReport(support=support, dual_parameter="0", pseudo_unitarizable=True)
+        return DualReport(dual_parameter="0", pseudo_unitarizable=True)
     if xi is None:
-        return DualReport(support=support, dual_parameter="xi", pseudo_unitarizable=True)
+        return DualReport(dual_parameter="xi", pseudo_unitarizable=True)
     re, im = xi
     norm = re * re + im * im
     return DualReport(
-        support=support,
         dual_parameter=f"{re / norm} {im / norm}" if norm else "undefined",
         pseudo_unitarizable=norm == 1,
     )

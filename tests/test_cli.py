@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from vertexmod import cli
 from vertexmod.cli import main
 
 EXAMPLE2 = "period 5 2\npath 0 0 1121112\npath 0 0 1212111\n"
@@ -57,6 +58,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 def test_missing_file(capsys):
     assert main(["check", "/nonexistent/x.cfg"]) == 2
+
+
+def test_undecodable_file_is_a_usage_error(tmp_path, capsys):
+    # the message names the file and the first byte that is not UTF-8
+    p = tmp_path / "bad.cfg"
+    p.write_bytes(b"period 5 2\n\xff")
+    assert main(["components", str(p)]) == 2
+    assert capsys.readouterr().err.strip() == f"error: cannot read {p}: not UTF-8 at byte 11"
 
 
 def test_components_json(ex2_file, capsys):
@@ -177,6 +186,13 @@ def test_render_ascii_and_svg(ex2_file, tmp_path, capsys):
     assert "stroke-dasharray" in body and "url(#hpos)" in body
 
 
+def test_render_unwritable_svg_is_a_usage_error(ex2_file, tmp_path, capsys):
+    svg_path = tmp_path / "missing" / "out.svg"
+    assert main(["render", ex2_file, "--component", "0", "--svg", str(svg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {svg_path}: ") and "Traceback" not in err
+
+
 def test_catalog_command(tmp_path, capsys):
     out1 = tmp_path / "a.ndjson"
     out2 = tmp_path / "b.ndjson"
@@ -210,6 +226,15 @@ def test_catalog_usage_errors(args, message, tmp_path, capsys):
     assert capsys.readouterr().err.strip() == message
     assert not out.exists()
     assert main(["catalog", "5", "2", "0", "--samples", "2", "--out", str(out)]) == 0  # k = 0 is valid
+
+
+def test_catalog_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # a directory as --out fails before the first sample is drawn
+    drawn = []
+    monkeypatch.setattr(cli, "random_config", lambda *a: drawn.append(a))
+    assert main(["catalog", "5", "2", "2", "--samples", "1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+    assert drawn == []
 
 
 def test_signature_dagger_and_duplicate_display(band_file, tmp_path, capsys):

@@ -1,4 +1,3 @@
-import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -194,6 +193,47 @@ def test_order_support_rejects_unequal_crossings(lat52):
         crossing_order(cfg, "1112112", 1)
     with pytest.raises(ValueError):
         order_support(cfg, "111211")
+
+
+@given(st.sampled_from([(1, 1), (2, 1), (3, 2), (5, 2), (5, 3), (4, 3)]), st.integers(0, 2),
+       st.integers(0, 10**6),
+       st.lists(st.tuples(st.sampled_from("VH"), st.integers(0, 4), st.integers(-3, 3),
+                          st.integers(1, 2)), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_crossings_agree_iff_conservative(mn, k, seed, extra):
+    # the theorem in order_support's docstring: on every balanced word the
+    # crossing check fails exactly on the non-conservative configurations,
+    # so casimir, which reads only conservative ones, may skip it
+    lat = Lattice(*mn)
+    base = random_config(lat, k, seed)
+    more = from_edges(lat, list(base.edges.items())
+                      + [(Edge(kind, x % lat.m, y), mult) for kind, x, y, mult in extra])
+    for cfg in (base, more):
+        conservative = not cfg.conservation_violations()
+        for word in balanced_words(*mn):
+            try:
+                order_support(cfg, word)
+            except AssertionError:
+                assert not conservative
+            else:
+                assert conservative
+
+
+def test_casimir_walks_no_loop(example3, monkeypatch):
+    # casimir only checks that the word is balanced: it walks no face loop
+    # and reads no loop-order offsets
+    reps = [build_module(example3, c) for c in finite_comps(example3)]
+    walk, offsets, calls = Lattice.walk, Configuration.root_offsets, []
+    monkeypatch.setattr(Lattice, "walk", lambda *a: calls.append("walk") or walk(*a))
+    monkeypatch.setattr(Configuration, "root_offsets",
+                        lambda *a: calls.append("root_offsets") or offsets(*a))
+    for rep in reps:
+        for word in balanced_words(5, 2):
+            casimir(rep, word)
+    assert calls == []
+    for word in ("111112", "11111222", "1111x22"):
+        with pytest.raises(ValueError, match="is not balanced for"):
+            casimir(reps[0], word)
 
 
 def test_order_product_sign_clause_not_a_theorem(example1_d4):
@@ -567,12 +607,12 @@ def test_order_product_is_p1_over_vertical_crossings(mn, k, seed):
             assert order_product(cfg, word, mu, support) == product
 
 
-@pytest.mark.parametrize("mn, heads, tails", [((5, 2), 13, 22), ((5, 3), 29, 27)])
-def test_casimir_walks_the_word_trie_once(mn, heads, tails, monkeypatch):
-    # casimir never calls order_product.  A word's first half walks on from
-    # the last first half, and its second half is composed right to left
-    # once per distinct suffix (a one-letter suffix is a stored column):
-    # each step builds one state per face
+@pytest.mark.parametrize("mn, columns", [((5, 2), 22), ((5, 3), 27)])
+def test_casimir_composes_each_half_once(mn, columns, monkeypatch):
+    # casimir never calls order_product.  Both halves of a word are composed
+    # right to left once per distinct suffix (a one-letter suffix is a
+    # stored column), and each composition builds one state per face; the
+    # rest of a call is its one fused pass over the faces
     cfg = Configuration(Lattice(*mn), {})
     step, built, products = representation._chain_step, [], []
     monkeypatch.setattr(representation, "order_product", lambda *a: products.append(a))
@@ -588,19 +628,16 @@ def test_casimir_walks_the_word_trie_once(mn, heads, tails, monkeypatch):
         assert sum(built) % rep.dim == 0
         return sum(built) // rep.dim
 
-    # a lone word: its first half, and every suffix of its second half
-    assert built_by(words[:1]) == half + (sum(mn) - half - 1)
-    # sorted words: the first halves' prefix trie and the distinct suffixes
-    # of the second halves; a repeated word builds nothing
-    assert len({w[:i] for w in words for i in range(1, half + 1)}) == heads
-    assert len({w[i:] for w in words for i in range(half, sum(mn) - 1)}) == tails
-    assert built_by(words) == built_by([*words, words[-1]]) == heads + tails
-    # shuffled, each word twice: the first halves walk on from their
-    # predecessors, and no second half is composed twice
+    # a lone word: every suffix of two or more letters of either half
+    assert built_by(words[:1]) == sum(mn) - 2
+    # sorted words: the distinct such suffixes of all halves; a repeated
+    # word builds nothing
+    halves = [h for w in words for h in (w[:half], w[half:])]
+    assert len({h[i:] for h in halves for i in range(len(h) - 1)}) == columns
+    assert built_by(words) == built_by([*words, words[-1]]) == columns
+    # shuffled, each word twice: no string is composed twice
     shuffled = random.Random(0).sample(words * 2, 2 * len(words))
-    walked = sum(half - len(os.path.commonprefix([a[:half], b[:half]]))
-                 for a, b in zip(["", *shuffled], shuffled))
-    assert built_by(shuffled) == walked + tails
+    assert built_by(shuffled) == columns
     assert products == []
 
 
